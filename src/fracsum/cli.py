@@ -8,13 +8,8 @@ deterministic: identical argv gives byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import os
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from .catalog import (
     emit_figure,
@@ -25,7 +20,6 @@ from .catalog import (
     run_identity,
 )
 from .engine import (
-    DEFAULT_CONFIG,
     EngineConfig,
     SumResult,
     frac_product,
@@ -33,9 +27,7 @@ from .engine import (
     frac_sum_right,
 )
 from .errors import FracsumError, SummandSpecError
-from .summands import from_spec, log_summand, parse_complex, poly_summand
-
-ENGINE_ENV = "FRACSUM_ENGINE"
+from .summands import factor_from_spec, from_spec, parse_complex
 
 _HANDLED = (FracsumError, OSError)
 
@@ -44,7 +36,26 @@ class _UsageError(Exception):
     pass
 
 
+class _ComplexLiteral:
+    """Matches the tokens parse_complex accepts."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            parse_complex(text)
+        except SummandSpecError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with '-' as an option unless it
+        # matches this pattern, by default a plain negative decimal only;
+        # bounds such as -0.5+1i or -1e-1 are values too
+        self._negative_number_matcher = _ComplexLiteral
+
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # identity-suite failures, so reroute through the exit-1 path.
     def error(self, message: str):
@@ -105,31 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    cfg = DEFAULT_CONFIG
-    raw = os.environ.get(ENGINE_ENV)
-    if raw:
-        parts = [t.strip() for t in raw.split(",")]
-        if len(parts) != 4:
-            raise _UsageError(
-                f"{ENGINE_ENV} must hold 'n_start,levels,order,tol', got {raw!r}"
-            )
-        try:
-            cfg = replace(cfg, n_start=int(parts[0]), n_levels=int(parts[1]),
-                          extrap_order=int(parts[2]), tol=float(parts[3]))
-        except ValueError as exc:
-            raise _UsageError(f"bad {ENGINE_ENV} value {raw!r}: {exc}") from None
-    over = {}
-    if args.n_start is not None:
-        over["n_start"] = args.n_start
-    if args.levels is not None:
-        over["n_levels"] = args.levels
-    if args.order is not None:
-        over["extrap_order"] = args.order
-    if args.tol is not None:
-        over["tol"] = args.tol
-    if over:
-        cfg = replace(cfg, **over)
-    return cfg
+    flags = {"n_start": args.n_start, "n_levels": args.levels,
+             "extrap_order": args.order, "tol": args.tol}
+    return EngineConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -140,38 +129,6 @@ def _emit(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _spec_param(spec: str, key: str) -> complex:
-    for part in spec.strip().split(":")[1:]:
-        if part.startswith(key + "="):
-            return parse_complex(part.split("=", 1)[1])
-    raise SummandSpecError(f"missing {key}= in {spec!r}")
-
-
-def _product_factor(spec: str):
-    """Resolve a spec to a factor summand (values f, metadata ln f)."""
-    f = from_spec(spec)  # validates grammar and family first
-    fam = spec.strip().split(":")[0]
-    if fam == "id":
-        return f
-    if fam == "pow":
-        # ln(nu^a) = a ln nu: the log summand's metadata, scaled
-        a = _spec_param(spec, "a")
-        lf = log_summand()
-        return replace(lf, eval=f.eval,
-                       deriv=lambda k, t, _d=lf.deriv: a * _d(k, t),
-                       label=f"factor:{spec}")
-    if fam == "geom":
-        # ln(q^nu) = nu ln q is an exact polynomial in nu
-        q = complex(_spec_param(spec, "q"))
-        base = poly_summand((0.0, cmath.log(q)))
-        return replace(base, eval=lambda pts: np.power(q, pts),
-                       label=f"factor:{spec}")
-    raise SummandSpecError(
-        f"family {fam!r} carries sum metadata; the product command supports "
-        "'id', 'pow:a=...', 'geom:q=...'"
-    )
 
 
 def _format_result(res: SumResult, mode: str) -> str:
@@ -200,9 +157,6 @@ def _format_result(res: SumResult, mode: str) -> str:
 def _cmd_sum(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     f = from_spec(args.f)
-    if f.label == "id":
-        # as a summand the identity map is the linear polynomial
-        f = poly_summand((0.0, 1.0))
     x, y = parse_complex(args.from_), parse_complex(args.to)
     run = frac_sum_left if args.direction == "left" else frac_sum_right
     _emit(_format_result(run(f, x, y, cfg), args.output), args.path)
@@ -211,7 +165,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 def _cmd_prod(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    f = _product_factor(args.f)
+    f = factor_from_spec(args.f)
     x, y = parse_complex(args.from_), parse_complex(args.to)
     res = frac_product(f, x, y, cfg, left=args.direction == "left")
     _emit(_format_result(res, args.output), args.path)

@@ -47,7 +47,6 @@ __all__ = [
     "mirror_check",
     "reflected",
     "richardson_extrapolate",
-    "suggest_sigma",
 ]
 
 # Sentinel for summands with f(n+z) -> 0: the approximating polynomial is
@@ -62,13 +61,11 @@ class Summand:
     eval must accept a complex numpy array and return the values elementwise.
     sigma is the asymptotic degree: the Taylor polynomial of f of this degree
     at the tail center makes f - p_n vanish along the tail; SIGMA_NEG_INF (or
-    any sigma <= -1) means p_n = 0. deriv(order, point), when given, returns
-    d^order f at a point; without it the engine falls back to finite
-    differences. domain_guard(points) -> bool array marks points where f is
-    defined. rate_hint is the expected leading error decay exponent p in
-    n^{-p}, used by Richardson extrapolation unless the config overrides it.
-    poly_override(center) -> Polynomial replaces the Taylor construction for
-    experiments with other approximating families.
+    any sigma <= -1) means p_n = 0. deriv(order, point) returns d^order f at
+    a point; it is required for sigma >= 1, and without it a sigma = 0
+    summand takes its value from eval. domain_guard(points) -> bool array
+    marks points where f is defined. rate_hint is the expected leading error
+    decay exponent p in n^{-p}, used by Richardson extrapolation.
 
     exact_poly declares that f IS this polynomial. Then p_n reproduces f
     identically and every level value equals poly_sum(f, x, y) by continued
@@ -85,7 +82,6 @@ class Summand:
     deriv: Callable[[int, complex], complex] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
     rate_hint: float | None = None
-    poly_override: Callable[[complex], Polynomial] | None = None
     exact_poly: Polynomial | None = None
     label: str = ""
 
@@ -93,6 +89,8 @@ class Summand:
         s = self.sigma
         if s != SIGMA_NEG_INF and (not float(s).is_integer() or s < -1):
             raise ParameterError(f"sigma must be an integer >= -1 or SIGMA_NEG_INF, got {s}")
+        if s >= 1 and self.deriv is None:
+            raise ParameterError(f"sigma = {s} needs deriv for the Taylor coefficients")
         if self.rate_hint is not None and self.rate_hint <= 0:
             raise ParameterError(f"rate_hint must be positive, got {self.rate_hint}")
 
@@ -103,15 +101,13 @@ class EngineConfig:
 
     Levels are n_j = n_start * 2^j for j < n_levels; extrap_order Richardson
     eliminations are applied to the level values; tol is the target
-    absolute-or-relative error for the converged flag; rate_hint overrides
-    the summand's own expected decay exponent.
+    absolute-or-relative error for the converged flag.
     """
 
     n_start: int = 64
     n_levels: int = 8
     extrap_order: int = 4
     tol: float = 1e-8
-    rate_hint: float | None = None
 
     def __post_init__(self):
         if self.n_start < 1:
@@ -124,8 +120,6 @@ class EngineConfig:
             )
         if self.tol <= 0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
-        if self.rate_hint is not None and self.rate_hint <= 0:
-            raise ParameterError(f"rate_hint must be positive, got {self.rate_hint}")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -196,43 +190,12 @@ def richardson_extrapolate(
     return diag[-1], err
 
 
-def _fd_derivative(ev: Callable[[np.ndarray], np.ndarray], center: complex, k: int) -> complex:
-    """Central finite difference of order k at center, Richardson-refined once."""
-    stencils = {
-        1: ([1, -1], [1.0, -1.0], 2.0),
-        2: ([1, 0, -1], [1.0, -2.0, 1.0], 1.0),
-        3: ([2, 1, -1, -2], [1.0, -2.0, 2.0, -1.0], 2.0),
-        4: ([2, 1, 0, -1, -2], [1.0, -4.0, 6.0, -4.0, 1.0], 1.0),
-        5: ([3, 2, 1, -1, -2, -3], [1.0, -4.0, 5.0, -5.0, 4.0, -1.0], 2.0),
-    }
-    if k == 0:
-        return complex(ev(np.array([center], dtype=complex))[0])
-    if k not in stencils:
-        raise ParameterError(f"finite-difference fallback supports orders <= 5, got {k}")
-    offs, wts, scale = stencils[k]
-    h0 = max(1.0, abs(center)) * 1e-5
-
-    def estimate(h: float) -> complex:
-        pts = np.array([center + o * h for o in offs], dtype=complex)
-        vals = ev(pts)
-        return complex(sum(w * v for w, v in zip(wts, vals)) / (scale * h**k))
-
-    coarse, fine = estimate(h0), estimate(h0 / 2.0)
-    # both stencils are O(h^2), so one halving step cancels that term
-    return (4.0 * fine - coarse) / 3.0
-
-
 def _taylor_coeffs(f: Summand, center: complex) -> list[complex]:
-    """[f^(k)(center)/k! for k <= sigma], from deriv or the FD fallback."""
-    sigma = int(f.sigma)
-    out: list[complex] = []
-    for k in range(sigma + 1):
-        if f.deriv is not None:
-            d = complex(f.deriv(k, center))
-        else:
-            d = _fd_derivative(f.eval, center, k)
-        out.append(d / math.factorial(k))
-    return out
+    """[f^(k)(center)/k! for k <= sigma]; without deriv sigma is 0 and the
+    one coefficient is f(center)."""
+    if f.deriv is None:
+        return [complex(f.eval(np.array([center], dtype=complex))[0])]
+    return [complex(f.deriv(k, center)) / math.factorial(k) for k in range(int(f.sigma) + 1)]
 
 
 def approx_poly(f: Summand, n: complex) -> Polynomial:
@@ -247,8 +210,6 @@ def approx_poly(f: Summand, n: complex) -> Polynomial:
     """
     if f.sigma < 0:
         raise ParameterError("approx_poly needs sigma >= 0")
-    if f.poly_override is not None:
-        return f.poly_override(n)
     centered = Polynomial.of(*_taylor_coeffs(f, n))
     return centered.shift(-n)
 
@@ -290,16 +251,6 @@ class _NeumaierSum:
         return complex(self.sr + self.cr, self.si + self.ci)
 
 
-def _poly_part(f: Summand, center: complex, weights: list[complex], x: complex, y: complex) -> complex:
-    if f.poly_override is not None:
-        # override polynomials come expressed in nu; sum them literally over
-        # the shifted window
-        p = f.poly_override(center)
-        return poly_sum(p, center + x, center + y)
-    coeffs = _taylor_coeffs(f, center)
-    return sum(c * w for c, w in zip(coeffs, weights))
-
-
 def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:
     x, y = complex(x), complex(y)
     if f.exact_poly is not None:
@@ -315,16 +266,15 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
             levels=levels,
         )
     delta = y - x
-    if (
-        delta.imag == 0.0
-        and delta.real == round(delta.real)
-        and abs(delta.real) <= 2_000_000
+    if abs(delta.real) <= 2_000_000 and abs(delta - round(delta.real)) <= (
+        4.0 * float(np.finfo(float).eps) * max(1.0, abs(x), abs(y))
     ):
         # Integer-length interval: continued summation, translation and the
         # single-term axiom reduce the sum to the classical loop (negative
         # lengths to minus the reversed loop, length -1 to the empty sum).
         # Evaluating that directly is exact where the limit route would
-        # push a huge poly-part/tail cancellation through doubles.
+        # push a huge poly-part/tail cancellation through doubles. A length
+        # a few ulp off an integer is that integer: y - x rounds.
         m = int(round(delta.real)) + 1
         if m >= 0:
             pts = (x + np.arange(m, dtype=float)).astype(complex)
@@ -351,7 +301,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         )
     use_poly = f.sigma >= 0
     weights: list[complex] = []
-    if use_poly and f.poly_override is None:
+    if use_poly:
         weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(int(f.sigma) + 1)]
     acc = _NeumaierSum()
     levels: list[tuple[int, complex]] = []
@@ -377,11 +327,11 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         p_term = 0j
         if use_poly:
             center = -float(n) if left else float(n)
-            p_term = _poly_part(f, center, weights, x, y)
+            p_term = sum(c * w for c, w in zip(_taylor_coeffs(f, center), weights))
         cancel_mag = max(cancel_mag, abs(tail) + abs(p_term))
         levels.append((n, tail + p_term))
     order = min(cfg.extrap_order, cfg.n_levels - 1)
-    rate = cfg.rate_hint if cfg.rate_hint is not None else (f.rate_hint or 1.0)
+    rate = f.rate_hint or 1.0
     # Extrapolate every level prefix and keep the one with the smallest
     # self-reported error. For cleanly converging families the full tableau
     # wins and this is a no-op; for fast-growing summands (nu * lnGamma and
@@ -518,28 +468,3 @@ def mirror_check(f: Summand, a: complex, b: complex, cfg: EngineConfig = DEFAULT
     right = frac_sum_right(f, a, b, cfg)
     left = frac_sum_left(reflected(f), -b, -a, cfg)
     return MirrorCheck(right=right, left=left, abs_diff=abs(right.value - left.value))
-
-
-def suggest_sigma(ev: Callable[[np.ndarray], np.ndarray], probes: int = 4) -> float:
-    """Heuristic asymptotic degree from |f(2n)/f(n)| growth probes.
-
-    Advisory only: callers own sigma. Returns SIGMA_NEG_INF for decaying f,
-    otherwise a safe (possibly non-minimal) Taylor degree.
-    """
-    ns = [2 ** (12 + 2 * i) for i in range(probes)]
-    mags = [abs(complex(ev(np.array([float(n)], dtype=complex))[0])) for n in ns]
-    if mags[-1] < 1e-6 and all(a >= b for a, b in zip(mags, mags[1:])):
-        return SIGMA_NEG_INF
-    slopes = [
-        math.log2(b / a) / 2.0 for a, b in zip(mags, mags[1:]) if a > 0 and b > 0
-    ]
-    if not slopes:
-        return SIGMA_NEG_INF
-    alpha = max(slopes)
-    if alpha < -0.25:
-        # clearly shrinking but too slowly to underflow the probe window
-        # (1/nu at n=2^18 is still 4e-6); classify by slope instead
-        return SIGMA_NEG_INF
-    if alpha < 0.5:
-        return 0.0
-    return float(math.floor(alpha) + 1)

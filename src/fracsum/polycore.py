@@ -11,6 +11,7 @@ monomial from the Faulhaber expansion in Bernoulli numbers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,6 @@ from .errors import ParameterError
 
 __all__ = [
     "Polynomial",
-    "BernoulliTable",
     "bernoulli",
     "antidifference",
     "poly_sum",
@@ -65,15 +65,6 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return Polynomial.of(*(x + y for x, y in zip(a, b)))
-
-    def scale(self, c: complex) -> "Polynomial":
-        return Polynomial.of(*(c * a for a in self.coeffs))
-
     def shift(self, s: complex) -> "Polynomial":
         """Return q with q(z) = p(z + s), by binomial re-expansion."""
         n = len(self.coeffs)
@@ -87,35 +78,20 @@ class Polynomial:
         return Polynomial.of(*out)
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_K, convention B_1 = +1/2.
+def bernoulli(K: int) -> tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_K as exact rationals, convention B_1 = +1/2.
 
     With this sign, Faulhaber's formula gives Sum_{nu=1}^{n} nu^d directly
-    (no off-by-one against the P(0) = 0 normalization).
-    """
-
-    values: tuple[Fraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-
-def bernoulli(K: int) -> BernoulliTable:
-    """Bernoulli numbers B_0..B_K as exact rationals.
-
-    Uses the recurrence sum_{j=0}^{m} C(m+1,j) B_j = m+1 (valid for the
-    B_1 = +1/2 convention), solved in exact rational arithmetic; the
-    recurrence is catastrophically ill-conditioned in floating point.
+    (no off-by-one against the P(0) = 0 normalization). Uses the recurrence
+    sum_{j=0}^{m} C(m+1,j) B_j = m+1 (valid for the B_1 = +1/2 convention),
+    solved in exact rational arithmetic; the recurrence is catastrophically
+    ill-conditioned in floating point.
 
     Args:
         K: highest index, 0 <= K <= 64.
 
     Returns:
-        BernoulliTable of length K+1.
+        Tuple of length K+1.
 
     Raises:
         ParameterError: K outside [0, 64].
@@ -128,17 +104,24 @@ def bernoulli(K: int) -> BernoulliTable:
         for j in range(m):
             acc -= math.comb(m + 1, j) * vals[j]
         vals.append(acc / (m + 1))
-    return BernoulliTable(tuple(vals))
+    return tuple(vals)
 
 
-def _faulhaber_row(d: int, table: BernoulliTable) -> list[Fraction]:
-    """Ascending rational coefficients of the antidifference of z^d."""
+@functools.cache
+def _faulhaber_row(d: int) -> tuple[tuple[int, float], ...]:
+    """Nonzero (power, coefficient) pairs of the antidifference of z^d.
+
+    Each coefficient is the correctly rounded double of its exact rational
+    value; rows are built once per degree, at most MAX_DEGREE + 1 of them.
+    """
     # P_d(z) = (1/(d+1)) sum_{j=0}^{d} C(d+1,j) B_j z^{d+1-j}; no constant
     # term, so P_d(0) = 0 automatically.
-    out = [Fraction(0)] * (d + 2)
-    for j in range(d + 1):
-        out[d + 1 - j] = Fraction(math.comb(d + 1, j), d + 1) * table[j]
-    return out
+    b = bernoulli(d)
+    return tuple(
+        (d + 1 - j, float(Fraction(math.comb(d + 1, j), d + 1) * b[j]))
+        for j in range(d + 1)
+        if b[j]
+    )
 
 
 def antidifference(p: Polynomial) -> Polynomial:
@@ -154,14 +137,12 @@ def antidifference(p: Polynomial) -> Polynomial:
     d = len(p.coeffs) - 1
     if d > MAX_DEGREE:
         raise ParameterError(f"polynomial degree {d} exceeds cap {MAX_DEGREE}")
-    table = bernoulli(d)
     acc = [0j] * (d + 2)
     for k, ck in enumerate(p.coeffs):
         if ck == 0:
             continue
-        for idx, q in enumerate(_faulhaber_row(k, table)):
-            if q:
-                acc[idx] += ck * float(q)
+        for idx, q in _faulhaber_row(k):
+            acc[idx] += ck * q
     return Polynomial.of(*acc)
 
 

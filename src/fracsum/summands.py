@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .engine import SIGMA_NEG_INF, Summand
 from .errors import DomainError, ParameterError, SummandSpecError
-from .polycore import Polynomial, bernoulli
-from .specialfn import digamma, log_gamma
+from .polycore import Polynomial
+from .specialfn import log_gamma, polygamma
 
 __all__ = [
     "recip",
@@ -39,46 +40,6 @@ __all__ = [
     "sermul_combined",
     "gosper_term",
 ]
-
-_B2K = tuple(float(b) for b in bernoulli(32).values[::2])
-
-
-def _psi_asym(m: int, t: complex) -> complex:
-    """Asymptotic polygamma psi^(m), m in {1, 2, 3}, for |t| >= ~30.
-
-    Only used as Taylor-derivative oracles at engine tail centers, which are
-    always >= the starting level (64 by default); accuracy there is near
-    machine precision.
-    """
-    t = complex(t)
-    if m == 1:
-        # 1/t + 1/(2 t^2) + sum B_2k / t^{2k+1}
-        acc = 1.0 / t + 0.5 / (t * t)
-        p = 1.0 / (t * t * t)
-        for k in range(1, 9):
-            acc += _B2K[k] * p
-            p /= t * t
-        return acc
-    if m == 2:
-        acc = -1.0 / (t * t) - 1.0 / (t * t * t)
-        p = 1.0 / (t * t * t * t)
-        for k in range(1, 9):
-            acc -= (2 * k + 1) * _B2K[k] * p
-            p /= t * t
-        return acc
-    if m == 3:
-        acc = 2.0 / (t * t * t) + 3.0 / (t * t * t * t)
-        p = 1.0 / (t * t * t * t * t)
-        for k in range(1, 9):
-            acc += (2 * k + 1) * (2 * k + 2) * _B2K[k] * p
-            p /= t * t
-        return acc
-    raise ParameterError(f"polygamma order must be in 1..3, got {m}")
-
-
-def _psi(m: int, t: complex) -> complex:
-    return digamma(t) if m == 0 else _psi_asym(m, t)
-
 
 def _off_cut(pts: np.ndarray) -> np.ndarray:
     """True where the principal log is defined and continuous."""
@@ -273,7 +234,7 @@ def lnfact(shift: float = 1.0) -> Summand:
     def dv(k: int, t: complex) -> complex:
         if k == 0:
             return log_gamma(t + shift)
-        return _psi(k - 1, t + shift)
+        return polygamma(k - 1, t + shift)
 
     return Summand(
         eval=ev,
@@ -301,7 +262,7 @@ def ln_gamma_2nu() -> Summand:
     def dv(k: int, t: complex) -> complex:
         if k == 0:
             return log_gamma(2.0 * t + 1.0)
-        return 2.0**k * _psi(k - 1, 2.0 * t + 1.0)
+        return 2.0**k * polygamma(k - 1, 2.0 * t + 1.0)
 
     return Summand(
         eval=ev,
@@ -324,15 +285,15 @@ def lognu_lnfact() -> Summand:
     def dv(k: int, t: complex) -> complex:
         u = cmath.log(t)
         G = log_gamma(t + 1.0)
-        p0 = _psi(0, t + 1.0)
+        p0 = polygamma(0, t + 1.0)
         if k == 0:
             return u * G
         if k == 1:
             return G / t + u * p0
-        p1 = _psi(1, t + 1.0)
+        p1 = polygamma(1, t + 1.0)
         if k == 2:
             return -G / (t * t) + 2.0 * p0 / t + u * p1
-        p2 = _psi(2, t + 1.0)
+        p2 = polygamma(2, t + 1.0)
         if k == 3:
             return 2.0 * G / (t * t * t) - 3.0 * p0 / (t * t) + 3.0 * p1 / t + u * p2
         raise ParameterError(f"derivative order {k} not implemented for lognu_lnfact")
@@ -359,9 +320,9 @@ def nu_lnfact() -> Summand:
         if k == 0:
             return t * log_gamma(t + 1.0)
         if k == 1:
-            return log_gamma(t + 1.0) + t * _psi(0, t + 1.0)
+            return log_gamma(t + 1.0) + t * polygamma(0, t + 1.0)
         # d^k (t G) = k G^(k-1) + t G^(k), G^(j) = psi^(j-1)(t+1)
-        return k * _psi(k - 2, t + 1.0) + t * _psi(k - 1, t + 1.0)
+        return k * polygamma(k - 2, t + 1.0) + t * polygamma(k - 1, t + 1.0)
 
     return Summand(
         eval=ev,
@@ -528,13 +489,21 @@ def gosper_term(b: float) -> Summand:
 # ---------------------------------------------------------------------------
 # spec-string front end (used by the CLI)
 
-_NO_ARG_FAMILIES: dict[str, Callable[[], Summand]] = {
+# family -> constructor; families missing from _SPEC_KEYS take no parameters
+_SPEC_FAMILIES: dict[str, Callable[..., Summand]] = {
     "recip": recip,
     "log": log_summand,
     "vlnv": vlnv,
     "lnfact": lnfact,
-    "id": identity_factor,
+    # as a summand the identity map is the linear polynomial
+    "id": lambda: replace(poly_summand((0.0, 1.0)), label="id"),
+    "pow": power,
+    "geom": geom,
+    "binom": binom,
+    "poly": poly_summand,
 }
+# the constructor's arguments, in order, as spec keys (poly takes a list)
+_SPEC_KEYS = {"pow": ("a",), "geom": ("q",), "binom": ("c", "x")}
 
 
 def parse_complex(text: str) -> complex:
@@ -563,28 +532,23 @@ def parse_complex(text: str) -> complex:
         raise SummandSpecError(f"bad complex literal {text!r}") from exc
 
 
-def from_spec(spec: str) -> Summand:
-    """Build a summand from a CLI family spec.
-
-    Grammar: ``family[:key=value]...`` for parameterized families
-    (``pow:a=0.5``, ``geom:q=0.5``, ``binom:c=2.5:x=0.3``) and bare names
-    for the rest (``recip``, ``log``, ``vlnv``, ``lnfact``, ``id``).
-    ``poly:c0,c1,...`` takes ascending coefficients as complex literals.
+def _parse_spec(spec: str) -> tuple[str, tuple]:
+    """Split ``family:key=value:...`` into the family and its constructor
+    arguments; for ``poly:c0,c1,...`` the one argument is the coefficients.
 
     Raises:
         SummandSpecError: unknown family or malformed parameters.
     """
     parts = spec.strip().split(":")
     fam = parts[0]
-    if fam in _NO_ARG_FAMILIES:
-        if len(parts) > 1:
-            raise SummandSpecError(f"family {fam!r} takes no parameters")
-        return _NO_ARG_FAMILIES[fam]()
     if fam == "poly":
         if len(parts) != 2 or not parts[1]:
             raise SummandSpecError("poly needs a coefficient list: poly:c0,c1,...")
-        coeffs = tuple(parse_complex(t) for t in parts[1].split(","))
-        return poly_summand(coeffs)
+        return fam, (tuple(parse_complex(t) for t in parts[1].split(",")),)
+    if fam in _SPEC_FAMILIES and fam not in _SPEC_KEYS:
+        if len(parts) > 1:
+            raise SummandSpecError(f"family {fam!r} takes no parameters")
+        return fam, ()
     kv: dict[str, complex] = {}
     for p in parts[1:]:
         if "=" not in p:
@@ -593,16 +557,57 @@ def from_spec(spec: str) -> Summand:
         if key in kv:
             raise SummandSpecError(f"duplicate parameter {key!r} in {spec!r}")
         kv[key] = parse_complex(val)
+    if fam not in _SPEC_KEYS:
+        raise SummandSpecError(f"unknown summand family {fam!r}")
+    keys = _SPEC_KEYS[fam]
+    if set(kv) != set(keys):
+        raise SummandSpecError(
+            f"{fam} takes exactly " + ":".join(f"{k}=<complex>" for k in keys)
+        )
+    return fam, tuple(kv[k] for k in keys)
+
+
+def from_spec(spec: str) -> Summand:
+    """Build a summand from a CLI family spec.
+
+    Grammar: ``family[:key=value]...`` for parameterized families
+    (``pow:a=0.5``, ``geom:q=0.5``, ``binom:c=2.5:x=0.3``) and bare names
+    for the rest (``recip``, ``log``, ``vlnv``, ``lnfact``, ``id``).
+    ``poly:c0,c1,...`` takes ascending coefficients as complex literals.
+    ``id`` is the identity map nu -> nu, the linear polynomial.
+
+    Raises:
+        SummandSpecError: unknown family or malformed parameters.
+    """
+    fam, args = _parse_spec(spec)
+    return _SPEC_FAMILIES[fam](*args)
+
+
+def factor_from_spec(spec: str) -> Summand:
+    """Build a product factor from a CLI family spec (see frac_product).
+
+    Only ``id``, ``pow:a=...`` and ``geom:q=...`` carry the metadata of the
+    factor's logarithm; eval returns the factor itself.
+
+    Raises:
+        SummandSpecError: malformed spec, or a family without factor form.
+    """
+    fam, args = _parse_spec(spec)
+    f = _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
+    if fam == "id":
+        return identity_factor()
     if fam == "pow":
-        if set(kv) != {"a"}:
-            raise SummandSpecError("pow takes exactly a=<complex>")
-        return power(kv["a"])
+        # ln(nu^a) = a ln nu: the log summand's metadata, scaled
+        (a,) = args
+        lf = log_summand()
+        return replace(lf, eval=f.eval, deriv=lambda k, t: a * lf.deriv(k, t),
+                       label=f"factor:{spec}")
     if fam == "geom":
-        if set(kv) != {"q"}:
-            raise SummandSpecError("geom takes exactly q=<complex>")
-        return geom(kv["q"])
-    if fam == "binom":
-        if set(kv) != {"c", "x"}:
-            raise SummandSpecError("binom takes exactly c=<complex>:x=<complex>")
-        return binom(kv["c"], kv["x"])
-    raise SummandSpecError(f"unknown summand family {fam!r}")
+        # ln(q^nu) = nu ln q is an exact polynomial in nu
+        (q,) = args
+        return replace(poly_summand((0.0, cmath.log(q))),
+                       eval=lambda pts: np.power(q, pts), label=f"factor:{spec}")
+    raise SummandSpecError(
+        f"family {fam!r} carries sum metadata; the product command supports "
+        "'id', 'pow:a=...', 'geom:q=...'"
+    )

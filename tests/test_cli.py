@@ -6,7 +6,7 @@ import math
 import pytest
 
 from fracsum.catalog import figure_csv, format_complex, identity_ids
-from fracsum.cli import ENGINE_ENV, main
+from fracsum.cli import main
 
 
 def run(capsys, argv):
@@ -145,41 +145,17 @@ def test_identical_argv_identical_bytes(capsys):
     assert first == second
 
 
-def test_engine_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "32,6,3,1e-6")
-    argv = ["sum", "--f", "recip", "--from", "1", "--to", "-0.5", "--output", "json"]
-    rc, out, _ = run(capsys, argv)
+@pytest.mark.parametrize("bound", ["-0.5+1i", "-1e-1"])
+def test_negative_literal_bounds(capsys, bound):
+    # a bound that starts with '-' but is no plain decimal is still a value
+    head = ["sum", "--f", "recip", "--from", "1"]
+    rc, out, err = run(capsys, head + ["--to", bound])
+    assert (rc, err) == (0, "")
+    rc, joined, _ = run(capsys, head + [f"--to={bound}"])
     assert rc == 0
-    data = json.loads(out)
-    assert [n for n, _ in data["levels"]] == [32 << j for j in range(6)]
-
-
-def test_flags_override_engine_env(capsys, monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "32,6,3,1e-6")
-    argv = [
-        "sum",
-        "--f",
-        "recip",
-        "--from",
-        "1",
-        "--to",
-        "-0.5",
-        "--n-start",
-        "64",
-        "--output",
-        "json",
-    ]
-    _, out, _ = run(capsys, argv)
-    data = json.loads(out)
-    assert data["levels"][0][0] == 64
-    assert len(data["levels"]) == 6  # unspecified fields keep the env value
-
-
-def test_malformed_engine_env_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "not-a-config")
-    rc, _, err = run(capsys, ["sum", "--f", "recip", "--from", "1", "--to", "2"])
-    assert rc == 1
-    assert "error:" in err
+    assert out == joined
+    rc, out, err = run(capsys, ["sum", "--f", "recip", "--from", bound, "--to", "2"])
+    assert (rc, err) == (0, "")
 
 
 def test_figure_to_path_and_stdout(capsys, tmp_path):

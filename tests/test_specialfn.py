@@ -22,6 +22,7 @@ from fracsum.specialfn import (
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     log_gamma,
+    polygamma,
     riemann_zeta,
     riemann_zeta_sderiv,
 )
@@ -110,6 +111,15 @@ def test_log_gamma_derivative_matches_digamma(re, im):
     h = 1e-4
     fd = (log_gamma(z + h) - log_gamma(z - h)) / (2 * h)
     assert abs(fd - digamma(z)) < 1e-6
+
+
+@pytest.mark.parametrize("z", [64.0, 65.0, 1e4, 100 + 3j])
+def test_polygamma_at_tail_centers(z):
+    mpmath = pytest.importorskip("mpmath")
+    for m in (1, 2, 3):
+        want = complex(mpmath.polygamma(m, z))
+        assert abs(polygamma(m, z) - want) <= 1e-15 * abs(want), m
+    assert polygamma(0, z) == digamma(z)
 
 
 def test_hurwitz_zeta_basel():

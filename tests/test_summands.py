@@ -184,3 +184,17 @@ def test_from_spec_rejects_malformed():
     ):
         with pytest.raises(SummandSpecError):
             summands.from_spec(bad)
+
+
+def test_factor_from_spec_families():
+    f = summands.factor_from_spec("id")
+    assert f.label == "id" and f.sigma == 0
+    pts = np.array([2.0, 3.5], dtype=complex)
+    g = summands.factor_from_spec("pow:a=0.5")
+    assert np.allclose(g.eval(pts), np.sqrt(pts))
+    assert g.deriv(1, 4.0) == pytest.approx(0.5 / 4.0)  # d/dnu of 0.5 ln nu
+    h = summands.factor_from_spec("geom:q=2")
+    assert np.allclose(h.eval(pts), 2.0**pts)
+    assert h.exact_poly.coeffs == (0j, complex(math.log(2.0)))  # nu ln 2
+    with pytest.raises(SummandSpecError, match="carries sum metadata"):
+        summands.factor_from_spec("recip")
