@@ -19,8 +19,9 @@ Numerical notes that matter here:
   sum_k f^(k)(n)/k! * W_k with W_k = poly_sum(z^k, x, y), which equals
   poly_sum(p_n, n+x, n+y) exactly (translation identity for polynomials)
   while avoiding the catastrophic cancellation of expanded coefficients.
-* Classical tails are reused incrementally across levels and accumulated
-  with compensated (Neumaier) summation.
+* Classical tails are reused incrementally across levels: each level adds
+  the correctly rounded sum (math.fsum) of its new terms as one partial,
+  and the tail is the math.fsum of the partials.
 """
 from __future__ import annotations
 
@@ -223,32 +224,10 @@ def _guard_check(f: Summand, pts: np.ndarray) -> None:
         raise DomainError(f"summand undefined at orbit point {bad}", complex(bad))
 
 
-class _NeumaierSum:
-    """Compensated accumulator for complex values, componentwise."""
-
-    __slots__ = ("sr", "cr", "si", "ci")
-
-    def __init__(self):
-        self.sr = self.cr = self.si = self.ci = 0.0
-
-    def add_array(self, vals: np.ndarray) -> None:
-        for re, im in zip(vals.real.tolist(), vals.imag.tolist()):
-            t = self.sr + re
-            if abs(self.sr) >= abs(re):
-                self.cr += (self.sr - t) + re
-            else:
-                self.cr += (re - t) + self.sr
-            self.sr = t
-            t = self.si + im
-            if abs(self.si) >= abs(im):
-                self.ci += (self.si - t) + im
-            else:
-                self.ci += (im - t) + self.si
-            self.si = t
-
-    @property
-    def value(self) -> complex:
-        return complex(self.sr + self.cr, self.si + self.ci)
+def _fsum(vals) -> complex:
+    """Correctly rounded sum of complex values, real and imaginary parts apart."""
+    vals = np.asarray(vals, dtype=complex)
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
 
 
 def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:
@@ -287,9 +266,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         if pts.size:
             _guard_check(f, pts)
             vals = np.asarray(f.eval(pts))
-            acc = _NeumaierSum()
-            acc.add_array(vals)
-            value = sign * acc.value
+            value = sign * _fsum(vals)
             err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
         levels = tuple((cfg.n_start << j, value) for j in range(cfg.n_levels))
         return SumResult(
@@ -303,7 +280,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     weights: list[complex] = []
     if use_poly:
         weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(int(f.sigma) + 1)]
-    acc = _NeumaierSum()
+    partials: list[complex] = []
     levels: list[tuple[int, complex]] = []
     done = 0
     cancel_mag = 0.0
@@ -321,9 +298,9 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         pts_neg = pts_neg.astype(complex)
         _guard_check(f, pts_pos)
         _guard_check(f, pts_neg)
-        acc.add_array(np.asarray(f.eval(pts_pos)) - np.asarray(f.eval(pts_neg)))
+        partials.append(_fsum(np.asarray(f.eval(pts_pos)) - np.asarray(f.eval(pts_neg))))
         done = n
-        tail = acc.value
+        tail = _fsum(partials)
         p_term = 0j
         if use_poly:
             center = -float(n) if left else float(n)
@@ -349,8 +326,12 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     if math.isfinite(err):
         # Level agreement cannot certify below the rounding floor of the
         # tail/poly-part cancellation; an estimate under that floor would
-        # overstate the precision actually delivered.
-        err = max(err, 8.0 * float(np.finfo(float).eps) * cancel_mag)
+        # overstate the precision actually delivered. The absolute term, a
+        # subnormal ulp per term evaluated, keeps that floor above zero for
+        # summands scaled into the subnormal range, where eps * cancel_mag
+        # underflows.
+        floor = 8.0 * float(np.finfo(float).eps) * cancel_mag + 2 * done * math.ulp(0.0)
+        err = max(err, floor)
     scale = max(1.0, abs(value))
     converged = bool(math.isfinite(err) and err <= cfg.tol * scale)
     return SumResult(

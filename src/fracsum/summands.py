@@ -163,9 +163,9 @@ def binom(c: complex, x: complex) -> Summand:
 
     C(c, w) = Gamma(c+1) / (Gamma(w+1) Gamma(c-w+1)); when Re(c-w+1) drops
     below 1/2 the reciprocal is computed by reflection, and arguments within
-    rounding distance of a nonpositive integer short-circuit to an exact
-    zero (the coefficient vanishes there; evaluating sin * exp(lnGamma)
-    would produce inf * 0).
+    rounding distance of a nonpositive integer give an exact zero (the
+    coefficient vanishes there; sin(pi a) in doubles would leave a rounding
+    residue). A pole of Gamma(w+1) anywhere in the orbit is a DomainError.
     """
     c = complex(c)
     x = complex(x)
@@ -174,27 +174,34 @@ def binom(c: complex, x: complex) -> Summand:
     lx = cmath.log(x)
     lgc1 = log_gamma(c + 1.0)
 
-    def near_nonpos_int(z: complex, ref: float) -> bool:
-        t = 1e-12 * (1.0 + ref)
-        return abs(z.imag) <= t and z.real <= 0.5 and abs(z.real - round(z.real)) <= t
-
-    def one(w: complex) -> complex:
-        a = c - w + 1.0
-        top_pole = near_nonpos_int(w + 1.0, abs(w))
-        bot_pole = near_nonpos_int(a, abs(w))
-        if bot_pole and not top_pole:
-            return 0j
-        if top_pole:
-            raise DomainError(f"binomial coefficient pole at w={w}", w)
-        if a.real >= 0.5:
-            lc = lgc1 - log_gamma(w + 1.0) - log_gamma(a)
-            return cmath.exp(lc + w * lx)
-        # 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi
-        lc = lgc1 - log_gamma(w + 1.0) + log_gamma(1.0 - a)
-        return cmath.exp(lc + w * lx) * cmath.sin(math.pi * a) / math.pi
-
     def ev(pts: np.ndarray) -> np.ndarray:
-        return np.array([one(complex(w)) for w in pts.ravel()], dtype=complex).reshape(pts.shape)
+        tol = 1e-12 * (1.0 + np.abs(pts))
+
+        def near_nonpos_int(z: np.ndarray) -> np.ndarray:
+            return (
+                (np.abs(z.imag) <= tol)
+                & (z.real <= 0.5)
+                & (np.abs(z.real - np.round(z.real)) <= tol)
+            )
+
+        top_pole = near_nonpos_int(pts + 1.0)
+        if top_pole.any():
+            bad = complex(pts[top_pole][0])
+            raise DomainError(f"binomial coefficient pole at w={bad}", bad)
+        a = c - pts + 1.0
+        # only the nonzero coefficients are evaluated: on a sum over [0, c]
+        # every point of the upper orbit w = nu + c is a zero
+        live = ~near_nonpos_int(a)
+        w, a = pts[live], a[live]
+        refl = a.real < 0.5
+        # 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi on the reflection branch
+        lg_a = log_gamma(np.where(refl, 1.0 - a, a))
+        lc = lgc1 - log_gamma(w + 1.0) + np.where(refl, lg_a, -lg_a)
+        v = np.exp(lc + w * lx)
+        v[refl] *= np.sin(math.pi * a[refl]) / math.pi
+        out = np.zeros(pts.shape, dtype=complex)
+        out[live] = v
+        return out
 
     return Summand(eval=ev, sigma=SIGMA_NEG_INF, rate_hint=1.0, label=f"binom:{c}:{x}")
 
@@ -226,18 +233,13 @@ def lnfact(shift: float = 1.0) -> Summand:
     where the remainder decays like n^{-3}.
     """
 
-    def ev(pts: np.ndarray) -> np.ndarray:
-        return np.array(
-            [log_gamma(complex(w) + shift) for w in pts.ravel()], dtype=complex
-        ).reshape(pts.shape)
-
     def dv(k: int, t: complex) -> complex:
         if k == 0:
             return log_gamma(t + shift)
         return polygamma(k - 1, t + shift)
 
     return Summand(
-        eval=ev,
+        eval=lambda pts: log_gamma(pts + shift),
         sigma=3,
         deriv=dv,
         domain_guard=lambda pts: _off_cut(pts + shift),
@@ -254,18 +256,13 @@ def ln_gamma_summand() -> Summand:
 def ln_gamma_2nu() -> Summand:
     """f(nu) = ln Gamma(2 nu + 1), derivatives 2^k psi^(k-1)(2 nu + 1)."""
 
-    def ev(pts: np.ndarray) -> np.ndarray:
-        return np.array(
-            [log_gamma(2.0 * complex(w) + 1.0) for w in pts.ravel()], dtype=complex
-        ).reshape(pts.shape)
-
     def dv(k: int, t: complex) -> complex:
         if k == 0:
             return log_gamma(2.0 * t + 1.0)
         return 2.0**k * polygamma(k - 1, 2.0 * t + 1.0)
 
     return Summand(
-        eval=ev,
+        eval=lambda pts: log_gamma(2.0 * pts + 1.0),
         sigma=3,
         deriv=dv,
         domain_guard=lambda pts: _off_cut(2.0 * pts + 1.0),
@@ -276,11 +273,6 @@ def ln_gamma_2nu() -> Summand:
 
 def lognu_lnfact() -> Summand:
     """f(nu) = ln nu * ln Gamma(nu + 1)."""
-
-    def ev(pts: np.ndarray) -> np.ndarray:
-        return np.log(pts) * np.array(
-            [log_gamma(complex(w) + 1.0) for w in pts.ravel()], dtype=complex
-        ).reshape(pts.shape)
 
     def dv(k: int, t: complex) -> complex:
         u = cmath.log(t)
@@ -299,7 +291,7 @@ def lognu_lnfact() -> Summand:
         raise ParameterError(f"derivative order {k} not implemented for lognu_lnfact")
 
     return Summand(
-        eval=ev,
+        eval=lambda pts: np.log(pts) * log_gamma(pts + 1.0),
         sigma=3,
         deriv=dv,
         domain_guard=_off_cut,
@@ -311,11 +303,6 @@ def lognu_lnfact() -> Summand:
 def nu_lnfact() -> Summand:
     """f(nu) = nu * ln Gamma(nu + 1); needs sigma = 4 for an n^{-3} remainder."""
 
-    def ev(pts: np.ndarray) -> np.ndarray:
-        return pts * np.array(
-            [log_gamma(complex(w) + 1.0) for w in pts.ravel()], dtype=complex
-        ).reshape(pts.shape)
-
     def dv(k: int, t: complex) -> complex:
         if k == 0:
             return t * log_gamma(t + 1.0)
@@ -325,7 +312,7 @@ def nu_lnfact() -> Summand:
         return k * polygamma(k - 2, t + 1.0) + t * polygamma(k - 1, t + 1.0)
 
     return Summand(
-        eval=ev,
+        eval=lambda pts: pts * log_gamma(pts + 1.0),
         sigma=4,
         deriv=dv,
         domain_guard=lambda pts: _off_cut(pts + 1.0),

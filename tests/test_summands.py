@@ -110,6 +110,27 @@ def test_binom_half_integer_values():
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.5 + 0.5j, -0.4 + 0.2j)])
+def test_binom_array_matches_mpmath(c, x):
+    # the points cross c + 1 and c + 2 (zero coefficients) into the region
+    # Re(c - w + 1) < 1/2, where 1/Gamma goes through reflection
+    mpmath = pytest.importorskip("mpmath")
+    w = np.concatenate([np.linspace(-0.9, 6.2, 30), [2.0 + 0.5j, 4.2 - 0.3j],
+                        [c + 1.0, c + 2.0, c + 1.5]]).astype(complex)
+    got = summands.binom(c, x).eval(w)
+    assert got[-3] == 0 and got[-2] == 0
+    for wi, v in zip(w, got):
+        want = complex(mpmath.binomial(c, wi) * mpmath.mpc(x) ** wi)
+        assert abs(v - want) <= 1e-13 * max(1.0, abs(want)), wi
+
+
+def test_binom_pole_in_array_is_domain_error():
+    f = summands.binom(2.5, 0.3)
+    with pytest.raises(DomainError):
+        f.eval(np.array([0.5, 1.0, -1.0, 2.0], dtype=complex))
+
+
 def test_bd_term_uses_log1p_form():
     f = summands.bd_term(1.0)
     v = f.eval(np.array([10.0 + 0j]))[0]
