@@ -284,6 +284,8 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     levels: list[tuple[int, complex]] = []
     done = 0
     cancel_mag = 0.0
+    term_sq = 0.0  # sum of |f|^2 over the points evaluated so far
+    term_sq_at: list[float] = []
     for j in range(cfg.n_levels):
         n = cfg.n_start << j
         if left:
@@ -298,7 +300,11 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         pts_neg = pts_neg.astype(complex)
         _guard_check(f, pts_pos)
         _guard_check(f, pts_neg)
-        partials.append(_fsum(np.asarray(f.eval(pts_pos)) - np.asarray(f.eval(pts_neg))))
+        vals_pos = np.asarray(f.eval(pts_pos))
+        vals_neg = np.asarray(f.eval(pts_neg))
+        partials.append(_fsum(vals_pos - vals_neg))
+        term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
+        term_sq_at.append(term_sq)
         done = n
         tail = _fsum(partials)
         p_term = 0j
@@ -309,28 +315,35 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         levels.append((n, tail + p_term))
     order = min(cfg.extrap_order, cfg.n_levels - 1)
     rate = f.rate_hint or 1.0
+    eps = float(np.finfo(float).eps)
+    # Every evaluated term carries about 2 eps * |f| of rounding, and a
+    # level's terms add it up like a random walk. Neighbouring deep levels
+    # carry alike amounts of that noise, so the tableau's last difference
+    # need not see it.
+    walk = [2.0 * eps * math.sqrt(s) for s in term_sq_at]
     # Extrapolate every level prefix and keep the one with the smallest
-    # self-reported error. For cleanly converging families the full tableau
-    # wins and this is a no-op; for fast-growing summands (nu * lnGamma and
-    # friends) the deepest levels are dominated by rounding noise in the
-    # huge poly-part/tail cancellation, and the extrapolation must stop at
-    # the noise floor instead of folding that noise into the value.
-    value, err, n_used = None, math.inf, done
+    # claim, a claim being no smaller than the rounding its levels carry.
+    # For cleanly converging families the full tableau wins; for growing
+    # summands (nu * lnGamma and friends) the deepest levels are dominated
+    # by rounding noise, and the extrapolation must stop at the noise floor
+    # instead of folding that noise into the value.
+    value, err, m_used = None, math.inf, len(levels)
     for m in range(order + 1, len(levels) + 1):
         v, e = richardson_extrapolate(levels[:m], order, rate)
+        e = max(e, walk[m - 1])
         if math.isfinite(e) and e < err:
-            value, err, n_used = v, e, levels[m - 1][0]
+            value, err, m_used = v, e, m
     if value is None:
         value, err = richardson_extrapolate(levels, order, rate)
-        n_used = done
+    n_used = levels[m_used - 1][0]
     if math.isfinite(err):
         # Level agreement cannot certify below the rounding floor of the
-        # tail/poly-part cancellation; an estimate under that floor would
-        # overstate the precision actually delivered. The absolute term, a
-        # subnormal ulp per term evaluated, keeps that floor above zero for
-        # summands scaled into the subnormal range, where eps * cancel_mag
-        # underflows.
-        floor = 8.0 * float(np.finfo(float).eps) * cancel_mag + 2 * done * math.ulp(0.0)
+        # tail/poly-part cancellation plus the terms' own rounding; an
+        # estimate under that floor would overstate the precision actually
+        # delivered. The absolute term, a subnormal ulp per term evaluated,
+        # keeps that floor above zero for summands scaled into the
+        # subnormal range, where the relative parts underflow.
+        floor = 8.0 * eps * cancel_mag + walk[m_used - 1] + 2 * done * math.ulp(0.0)
         err = max(err, floor)
     scale = max(1.0, abs(value))
     converged = bool(math.isfinite(err) and err <= cfg.tol * scale)

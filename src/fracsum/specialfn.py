@@ -2,10 +2,12 @@
 
 Everything here is double precision and complex-capable, with numpy as the
 only dependency: log-Gamma (Lanczos with reflection, elementwise on a
-complex numpy array so a summand's whole orbit is one call), digamma and
-polygamma, the Hurwitz zeta function and its first and second s-derivatives
-(Euler-Maclaurin, differentiated analytically in s), Riemann zeta wrappers,
-and named constants stored as high-precision decimal literals.
+complex numpy array so a summand's whole orbit is one call), polygamma of
+any order (one recurrence-lifted asymptotic series; digamma is order 0),
+the Hurwitz zeta function and its first and second s-derivatives
+(Euler-Maclaurin with fixed truncation, differentiated analytically in s),
+Riemann zeta wrappers, and named constants stored as high-precision decimal
+literals.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ from .errors import DomainError, ParameterError, PoleError
 from .polycore import bernoulli
 
 __all__ = [
-    "EulerMaclaurinParams",
-    "DEFAULT_EM_PARAMS",
     "Constants",
     "CONSTANTS",
     "log_gamma",
@@ -48,9 +48,8 @@ _LANCZOS_C = (
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# B_2k as doubles for the digamma and polygamma asymptotic series and the
-# Euler-Maclaurin corrections; exact rational table keeps the conversion
-# correctly rounded.
+# B_2k as doubles for the polygamma asymptotic series and the Euler-Maclaurin
+# corrections; exact rational table keeps the conversion correctly rounded.
 _B2K = tuple(float(b) for b in bernoulli(32)[::2])
 
 
@@ -65,7 +64,10 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     On the upper half plane sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z});
     the principal log of the last factor is continuous there, which makes the
     whole expression the continuation matching lim from Im z > 0 on the real
-    axis. The lower half plane follows by conjugate symmetry.
+    axis. The lower half plane follows by conjugate symmetry. The last factor
+    is 1-periodic in z, so it is formed at z minus its nearest integer with
+    expm1: next to the integers both the phase 2 pi Re z and 1 - e^{...}
+    would otherwise cancel away the digits.
     """
     lower = z.imag < 0.0
     u = np.where(lower, z.conj(), z)
@@ -73,7 +75,7 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
         0.5j * math.pi
         - math.log(2.0)
         - 1j * math.pi * u
-        + np.log(1.0 - np.exp(2j * math.pi * u))
+        + np.log(-np.expm1(2j * math.pi * (u - np.round(u.real))))
     )
     return np.where(lower, v.conj(), v)
 
@@ -113,94 +115,53 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
 
 
 def digamma(z: complex) -> complex:
-    """Digamma psi(z) to >= 10 significant digits for |z| <= 50.
-
-    Reflection for Re z < 1/2, recurrence lift to Re z >= 16, then the
-    asymptotic series ln z - 1/(2z) - sum B_2k/(2k z^{2k}).
-
-    Raises:
-        PoleError: z is a nonpositive integer.
-    """
-    z = complex(z)
-    if _is_nonpositive_int(z):
-        raise PoleError(f"digamma pole at z={z}", z)
-    if z.real < 0.5:
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    shift = 0j
-    while z.real < 16.0:
-        shift -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    acc = cmath.log(z) - 0.5 / z
-    p = inv2
-    for k in range(1, 9):
-        acc -= _B2K[k] / (2.0 * k) * p
-        p *= inv2
-    return acc + shift
+    """Digamma psi(z) = polygamma(0, z)."""
+    return polygamma(0, z)
 
 
 def polygamma(m: int, z: complex) -> complex:
-    """Polygamma psi^(m)(z) for m in 0..3.
+    """Polygamma psi^(m)(z) for any order m >= 0, to about 1e-14 relative.
 
-    m = 0 is digamma. For m = 1..3 the asymptotic series, cut after the
-    B_16 term, is summed with no recurrence lift or reflection. It is
-    accurate to about one ulp for |z| >= 16 with Re z >= 0, which covers
-    the engine's tail centers (64 and up), and loses digits as |z| shrinks
-    (1e-9 relative for m = 3 at z = 5) or z nears the negative real axis.
+    For m = 0 and Re z < 1/2, reflection psi(z) = psi(1 - z) - pi cot(pi z).
+    Otherwise the recurrence psi^(m)(z) = psi^(m)(z+1) - (-1)^m m! z^{-m-1}
+    lifts z to Re z >= 16, where the asymptotic series
+    (-1)^{m+1} [(m-1)!/z^m + m!/(2 z^{m+1})
+                + sum_k B_2k (2k+m-1)!/(2k)! z^{-2k-m}]
+    (ln z - 1/(2z) - sum_k B_2k/(2k z^{2k}) for m = 0) is cut after B_16.
 
     Raises:
-        ParameterError: m outside 0..3.
+        ParameterError: m < 0.
+        PoleError: z is a nonpositive integer.
     """
-    if m == 0:
-        return digamma(z)
-    t = complex(z)
-    if m == 1:
-        # 1/t + 1/(2 t^2) + sum B_2k / t^{2k+1}
-        acc = 1.0 / t + 0.5 / (t * t)
-        p = 1.0 / (t * t * t)
-        for k in range(1, 9):
-            acc += _B2K[k] * p
-            p /= t * t
-        return acc
-    if m == 2:
-        acc = -1.0 / (t * t) - 1.0 / (t * t * t)
-        p = 1.0 / (t * t * t * t)
-        for k in range(1, 9):
-            acc -= (2 * k + 1) * _B2K[k] * p
-            p /= t * t
-        return acc
-    if m == 3:
-        acc = 2.0 / (t * t * t) + 3.0 / (t * t * t * t)
-        p = 1.0 / (t * t * t * t * t)
-        for k in range(1, 9):
-            acc += (2 * k + 1) * (2 * k + 2) * _B2K[k] * p
-            p /= t * t
-        return acc
-    raise ParameterError(f"polygamma order must be in 0..3, got {m}")
+    if m < 0:
+        raise ParameterError(f"polygamma order must be >= 0, got {m}")
+    z = complex(z)
+    if _is_nonpositive_int(z):
+        raise PoleError(f"polygamma pole at z={z}", z)
+    if m == 0 and z.real < 0.5:
+        return polygamma(0, 1.0 - z) - math.pi / cmath.tan(math.pi * z)
+    lift = 0j
+    while z.real < 16.0:
+        lift += z ** (-m - 1)
+        z += 1.0
+    sf = (-1) ** (m + 1) * math.factorial(m)
+    acc = cmath.log(z) if m == 0 else sf // m * z ** -m
+    acc += 0.5 * sf * z ** (-m - 1)
+    inv2 = 1.0 / (z * z)
+    p = z ** -m * inv2
+    # c = (-1)^(m+1) (2k+m-1)!/(2k)! at j = 2k, advanced by its ratio
+    c = 0.5 * (m + 1) * sf
+    for j in range(2, 17, 2):
+        acc += c * _B2K[j >> 1] * p
+        c *= (j + m + 1) * (j + m) / ((j + 2) * (j + 1))
+        p *= inv2
+    return acc + sf * lift
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinParams:
-    """Tuning knobs for the Euler-Maclaurin Hurwitz zeta evaluation.
-
-    direct_terms is the cap M on explicitly summed series terms;
-    correction_order K is the number of Bernoulli correction terms (even
-    indices up to 2K).
-    """
-
-    direct_terms: int = 32
-    correction_order: int = 10
-
-    def __post_init__(self):
-        if self.direct_terms < 8:
-            raise ParameterError(f"direct_terms must be >= 8, got {self.direct_terms}")
-        if not 1 <= self.correction_order <= 15:
-            raise ParameterError(
-                f"correction_order must be in [1, 15], got {self.correction_order}"
-            )
-
-
-DEFAULT_EM_PARAMS = EulerMaclaurinParams()
+# Euler-Maclaurin truncation for the Hurwitz zeta: M direct terms, then
+# Bernoulli corrections up to B_2K.
+_EM_DIRECT_TERMS = 32
+_EM_CORRECTION_ORDER = 10
 
 # For Re s < 0 the direct terms grow like (M+x)^{|s|} while the analytically
 # continued value can be tiny, so summing all M terms cancels catastrophically
@@ -210,12 +171,12 @@ DEFAULT_EM_PARAMS = EulerMaclaurinParams()
 _NEG_S_LIFT_TARGET = 4.0
 
 
-def _hurwitz_em(s: complex, x: complex, b: int, params: EulerMaclaurinParams) -> complex:
+def _hurwitz_em(s: complex, x: complex, b: int) -> complex:
     if s == 1.0:
         raise PoleError("hurwitz zeta pole at s=1", s)
     if x.real <= 0.0:
         raise DomainError(f"hurwitz zeta requires Re x > 0, got x={x}", x)
-    M, K = params.direct_terms, params.correction_order
+    M, K = _EM_DIRECT_TERMS, _EM_CORRECTION_ORDER
     if s.real < 0.0:
         M = min(M, max(0, math.ceil(_NEG_S_LIFT_TARGET - x.real)))
     tot = 0j
@@ -256,9 +217,7 @@ def _hurwitz_em(s: complex, x: complex, b: int, params: EulerMaclaurinParams) ->
     return tot
 
 
-def hurwitz_zeta(
-    s: complex, x: complex, params: EulerMaclaurinParams = DEFAULT_EM_PARAMS
-) -> complex:
+def hurwitz_zeta(s: complex, x: complex) -> complex:
     """Hurwitz zeta(s, x) = sum_{nu>=0} (nu+x)^{-s}, analytically continued.
 
     Euler-Maclaurin: direct terms, boundary terms, and Bernoulli corrections
@@ -269,18 +228,15 @@ def hurwitz_zeta(
     Args:
         s: exponent, s != 1.
         x: shift with Re x > 0.
-        params: Euler-Maclaurin truncation parameters.
 
     Raises:
         PoleError: s = 1.
         DomainError: Re x <= 0.
     """
-    return _hurwitz_em(complex(s), complex(x), 0, params)
+    return _hurwitz_em(complex(s), complex(x), 0)
 
 
-def hurwitz_zeta_sderiv(
-    b: int, s: complex, x: complex, params: EulerMaclaurinParams = DEFAULT_EM_PARAMS
-) -> complex:
+def hurwitz_zeta_sderiv(b: int, s: complex, x: complex) -> complex:
     """b-th s-derivative of Hurwitz zeta, b in {1, 2}.
 
     Obtained by differentiating every Euler-Maclaurin term analytically in s:
@@ -294,19 +250,17 @@ def hurwitz_zeta_sderiv(
     """
     if b not in (1, 2):
         raise ParameterError(f"derivative order must be 1 or 2, got {b}")
-    return _hurwitz_em(complex(s), complex(x), b, params)
+    return _hurwitz_em(complex(s), complex(x), b)
 
 
-def riemann_zeta(s: complex, params: EulerMaclaurinParams = DEFAULT_EM_PARAMS) -> complex:
+def riemann_zeta(s: complex) -> complex:
     """Riemann zeta(s) = hurwitz_zeta(s, 1)."""
-    return hurwitz_zeta(s, 1.0, params)
+    return hurwitz_zeta(s, 1.0)
 
 
-def riemann_zeta_sderiv(
-    b: int, s: complex, params: EulerMaclaurinParams = DEFAULT_EM_PARAMS
-) -> complex:
+def riemann_zeta_sderiv(b: int, s: complex) -> complex:
     """b-th derivative of Riemann zeta, b in {1, 2}."""
-    return hurwitz_zeta_sderiv(b, s, 1.0, params)
+    return hurwitz_zeta_sderiv(b, s, 1.0)
 
 
 @dataclass(frozen=True)

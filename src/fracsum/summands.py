@@ -271,29 +271,18 @@ def ln_gamma_2nu() -> Summand:
     )
 
 
+def _leibniz(f: Callable, g: Callable, k: int, t: complex) -> complex:
+    """d^k (f g) at t, from the derivative callables of f and g."""
+    return sum(math.comb(k, j) * f(j, t) * g(k - j, t) for j in range(k + 1))
+
+
 def lognu_lnfact() -> Summand:
     """f(nu) = ln nu * ln Gamma(nu + 1)."""
-
-    def dv(k: int, t: complex) -> complex:
-        u = cmath.log(t)
-        G = log_gamma(t + 1.0)
-        p0 = polygamma(0, t + 1.0)
-        if k == 0:
-            return u * G
-        if k == 1:
-            return G / t + u * p0
-        p1 = polygamma(1, t + 1.0)
-        if k == 2:
-            return -G / (t * t) + 2.0 * p0 / t + u * p1
-        p2 = polygamma(2, t + 1.0)
-        if k == 3:
-            return 2.0 * G / (t * t * t) - 3.0 * p0 / (t * t) + 3.0 * p1 / t + u * p2
-        raise ParameterError(f"derivative order {k} not implemented for lognu_lnfact")
-
+    u, G = log_summand().deriv, lnfact().deriv
     return Summand(
         eval=lambda pts: np.log(pts) * log_gamma(pts + 1.0),
         sigma=3,
-        deriv=dv,
+        deriv=lambda k, t: _leibniz(u, G, k, t),
         domain_guard=_off_cut,
         rate_hint=3.0,
         label="lognu*lnfact",
@@ -302,14 +291,11 @@ def lognu_lnfact() -> Summand:
 
 def nu_lnfact() -> Summand:
     """f(nu) = nu * ln Gamma(nu + 1); needs sigma = 4 for an n^{-3} remainder."""
+    G = lnfact().deriv
 
     def dv(k: int, t: complex) -> complex:
-        if k == 0:
-            return t * log_gamma(t + 1.0)
-        if k == 1:
-            return log_gamma(t + 1.0) + t * polygamma(0, t + 1.0)
-        # d^k (t G) = k G^(k-1) + t G^(k), G^(j) = psi^(j-1)(t+1)
-        return k * polygamma(k - 2, t + 1.0) + t * polygamma(k - 1, t + 1.0)
+        # d^k (t G) = k G^(k-1) + t G^(k)
+        return t * G(0, t) if k == 0 else k * G(k - 1, t) + t * G(k, t)
 
     return Summand(
         eval=lambda pts: pts * log_gamma(pts + 1.0),

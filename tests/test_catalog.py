@@ -151,6 +151,15 @@ def test_gosper_routes_agree_and_support_is_noted(all_reports):
     assert any("support" in note for note in rep.notes)
 
 
+def test_gosper_routes_match_the_closed_form(all_reports):
+    # the series route extrapolates its partial sums in 1/N, so it is not
+    # left with the 1/(pi N) truncation of a direct sum
+    rep = next(r for r in all_reports if r.identity == "GOSPER")
+    for rec in rep.records:
+        b = float(dict(kv.split("=") for kv in rec.point.split(","))["b"])
+        assert abs(rec.lhs - math.pi * math.sin(b) / (2.0 * b)) <= 1e-12, rec.point
+
+
 def test_reports_are_deterministic(all_reports):
     first = next(r for r in all_reports if r.identity == "HURW")
     again = run_identity("HURW")

@@ -342,6 +342,7 @@ def test_mirror_polynomial_integer_bounds_exact():
     inner_bounds,
     inner_bounds,
 )
+@example(idx=4, x=2 + 0j, y=1.5 + 0.0171498009189065j, z=1.6531124483255994 + 0.21992781188994648j)
 def test_continued_summation_axiom(idx, x, y, z):
     # splitting at an intermediate point adds the pieces, within the
     # engine's own error claims

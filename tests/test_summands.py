@@ -59,6 +59,21 @@ def test_derivatives_match_finite_differences(f, center, orders):
         assert abs(got - want) <= 5e-5 * (1 + abs(want)), (f.label, k)
 
 
+@pytest.mark.parametrize("f,ref", [
+    (summands.lnfact(), lambda mp, t: mp.loggamma(t + 1)),
+    (summands.ln_gamma_2nu(), lambda mp, t: mp.loggamma(2 * t + 1)),
+    (summands.lognu_lnfact(), lambda mp, t: mp.log(t) * mp.loggamma(t + 1)),
+    (summands.nu_lnfact(), lambda mp, t: t * mp.loggamma(t + 1)),
+], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact"])
+def test_log_gamma_family_derivatives_match_mpmath(f, ref):
+    # every order a higher Taylor degree would ask for, not only k <= 3
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for k in range(7):
+            want = complex(mpmath.diff(lambda t: ref(mpmath, t), 7, k))
+            assert abs(f.deriv(k, 7.0) - want) <= 1e-13 * abs(want), (f.label, k)
+
+
 def test_product_factor_derivs_describe_the_log():
     # for factors, deriv documents d^k ln f, not d^k f
     f = summands.identity_factor()
