@@ -10,11 +10,9 @@ from .catalog import (
     Identity,
     IdentityReport,
     PointRecord,
-    emit_figure,
     figure_csv,
     get_identity,
     identity_ids,
-    register_builtin,
     run_all,
     run_identity,
 )
@@ -54,9 +52,8 @@ from .summands import from_spec, parse_complex
 __version__ = "0.1.0"
 
 __all__ = [
-    "Identity", "IdentityReport", "PointRecord", "emit_figure", "figure_csv",
-    "get_identity", "identity_ids", "register_builtin", "run_all",
-    "run_identity",
+    "Identity", "IdentityReport", "PointRecord", "figure_csv",
+    "get_identity", "identity_ids", "run_all", "run_identity",
     "DEFAULT_CONFIG", "EngineConfig", "MirrorCheck", "SumResult", "Summand",
     "frac_product", "frac_sum_left", "frac_sum_right", "mirror_check",
     "richardson_extrapolate",

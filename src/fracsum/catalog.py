@@ -1,10 +1,13 @@
-"""Registry of every closed-form identity the library verifies.
+"""Catalog of every closed-form identity the library verifies.
 
 Each identity pairs an engine evaluation route (the lhs) with an
 independently computed closed form (the rhs) on a fixed grid of points.
-Grids are literal constants so reports are reproducible bit for bit;
-tolerances are per identity. Theorem-kind identities carry a pass flag,
-experiment-kind identities only record their findings.
+The catalog is one immutable table built at import; a route takes the
+engine config and its point's grid parameters by name,
+evaluate(cfg, **params). Grids are literal constants so reports are
+reproducible bit for bit; tolerances are per identity. Theorem-kind
+identities carry a pass flag, experiment-kind identities only record
+their findings.
 """
 from __future__ import annotations
 
@@ -40,13 +43,11 @@ __all__ = [
     "Identity",
     "PointRecord",
     "IdentityReport",
-    "register_builtin",
     "identity_ids",
     "get_identity",
     "run_identity",
     "run_all",
     "figure_csv",
-    "emit_figure",
     "bd_closed_form",
     "bd_finite_product",
     "zpp_closed_sum",
@@ -157,12 +158,14 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class Identity:
-    """A registered identity: grid, tolerance, and both evaluation routes.
+    """A catalog identity: grid, tolerance, and both evaluation routes.
 
-    evaluate(point, cfg) returns (lhs, rhs, note). kind 'theorem' gates each
-    record on |lhs-rhs| <= tol * max(1, |rhs|); kind 'experiment' records
-    without judging. summarize, when present, turns the finished records
-    into extra summary notes (used for route-agreement findings).
+    evaluate(cfg, **params) returns (lhs, rhs, note), with one keyword per
+    grid axis of the point. kind 'theorem' gates each record on
+    |lhs-rhs| <= tol * max(1, |rhs|); kind 'experiment' records without
+    judging. summarize(points, records), when present, turns the grid and
+    its finished records into extra summary notes (used for
+    route-agreement findings).
     """
 
     id: str
@@ -170,12 +173,11 @@ class Identity:
     formula: str
     tol: float
     points: tuple[Point, ...]
-    evaluate: Callable[[Point, EngineConfig], tuple[complex, complex, str]]
+    evaluate: Callable[..., tuple[complex, complex, str]]
     notes: tuple[str, ...] = ()
-    summarize: Callable[[tuple[PointRecord, ...]], tuple[str, ...]] | None = None
-
-
-_REGISTRY: dict[str, Identity] = {}
+    summarize: Callable[
+        [tuple[Point, ...], tuple[PointRecord, ...]], tuple[str, ...]
+    ] | None = None
 
 
 def _grid(**axes) -> tuple[Point, ...]:
@@ -183,10 +185,6 @@ def _grid(**axes) -> tuple[Point, ...]:
     for name, values in axes.items():
         pts = [p + ((name, complex(v)),) for p in pts for v in values]
     return tuple(pts)
-
-
-def _params(point: Point) -> dict[str, complex]:
-    return dict(point)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +268,19 @@ def gosper_series_coeffs(b: float) -> list[float]:
 # per-identity evaluation routes
 
 
-def _geo_eval(point: Point, cfg: EngineConfig):
-    p = _params(point)
-    q, x = p["q"], p["x"]
+def _geo_eval(cfg: EngineConfig, q: complex, x: complex):
     lhs = frac_sum_right(fams.geom(q), 0.0, x, cfg).value
     rhs = (1.0 - q ** (x + 1.0)) / (1.0 - q)
     return lhs, rhs, ""
 
 
-def _binom_eval(point: Point, cfg: EngineConfig):
-    p = _params(point)
-    c, x = p["c"], p["x"]
+def _binom_eval(cfg: EngineConfig, c: complex, x: complex):
     lhs = frac_sum_right(fams.binom(c, x), 0.0, c, cfg).value
     rhs = cmath.exp(c * cmath.log(1.0 + x))
     return lhs, rhs, ""
 
 
-def _sermul_eval(point: Point, cfg: EngineConfig):
-    x = _params(point)["x"]
+def _sermul_eval(cfg: EngineConfig, x: complex):
     q1, q2 = 0.5, 0.3
     lhs = frac_sum_right(fams.sermul_combined(q1, q2), 1.0, x, cfg).value
 
@@ -297,57 +290,51 @@ def _sermul_eval(point: Point, cfg: EngineConfig):
     return lhs, geo_sum(q1) * geo_sum(q2), ""
 
 
-def _gamma_eval(point: Point, cfg: EngineConfig):
-    z = _params(point)["z"]
+def _gamma_eval(cfg: EngineConfig, z: complex):
     lhs = frac_product(fams.identity_factor(), 1.0, z, cfg).value
     return lhs, cmath.exp(log_gamma(z + 1.0)), ""
 
 
-def _tanh_eval(point: Point, cfg: EngineConfig):
+def _tanh_eval(cfg: EngineConfig):
     lhs = frac_product(fams.tanh_factor(), 1.0, -0.5, cfg).value
     return lhs, complex(math.tanh(math.pi)), ""
 
 
-def _harm_eval(point: Point, cfg: EngineConfig):
-    x = _params(point)["x"]
+def _harm_eval(cfg: EngineConfig, x: complex):
     lhs = frac_sum_right(fams.recip(), 1.0, x, cfg).value
     rhs = CONSTANTS.euler_gamma + digamma(x + 1.0)
     note = "Euler value -2 ln 2" if x == -0.5 else ""
     return lhs, rhs, note
 
 
-def _refl_eval(point: Point, cfg: EngineConfig):
-    x = _params(point)["x"].real
+def _refl_eval(cfg: EngineConfig, x: complex):
+    x = x.real
     lhs = frac_sum_right(fams.recip(), x, -x, cfg).value
     return lhs, complex(math.pi / math.tan(math.pi * x)), ""
 
 
-def _hurw_eval(point: Point, cfg: EngineConfig):
-    p = _params(point)
-    a, x = p["a"], p["x"]
+def _hurw_eval(cfg: EngineConfig, a: complex, x: complex):
     lhs = frac_sum_right(fams.power(a), 1.0, x, cfg).value
     rhs = riemann_zeta(-a) - hurwitz_zeta(-a, x + 1.0)
     return lhs, rhs, ""
 
 
-def _zhalf_eval(point: Point, cfg: EngineConfig):
-    a = _params(point)["a"]
+def _zhalf_eval(cfg: EngineConfig, a: complex):
     lhs = frac_sum_right(fams.power(a), 1.0, -0.5, cfg).value
     rhs = (2.0 - 2.0 ** (-a)) * riemann_zeta(-a)
     note = "implies zeta(-1) = -1/12" if a == 1.0 else ""
     return lhs, rhs, note
 
 
-def _vlnv_eval(point: Point, cfg: EngineConfig):
+def _vlnv_eval(cfg: EngineConfig):
     lhs = frac_sum_right(fams.vlnv(), 1.0, -0.5, cfg).value
     rhs = complex(-_LN2 / 24.0 - 1.5 * CONSTANTS.zeta_prime_minus1)
     return lhs, rhs, ""
 
 
-def _lngam_eval(point: Point, cfg: EngineConfig):
-    which = _params(point)["part"]
+def _lngam_eval(cfg: EngineConfig, part: complex):
     s = frac_sum_right(fams.log_summand(), 1.0, -0.5, cfg).value
-    if which == 0:
+    if part == 0:
         return s, complex(0.5 * math.log(math.pi)), "ln Gamma(1/2)"
     # Differentiating the half-terms power sum in the exponent gives
     # sum ln nu = ln 2 * zeta(0) - zeta'(0); solve for zeta'(0).
@@ -356,39 +343,35 @@ def _lngam_eval(point: Point, cfg: EngineConfig):
     return lhs, rhs, "recovered zeta'(0)"
 
 
-def _leftp_eval(point: Point, cfg: EngineConfig):
-    z = int(_params(point)["z"].real)
+def _leftp_eval(cfg: EngineConfig, z: complex):
+    z = int(z.real)
     lhs = frac_sum_left(fams.power(float(z)), 1.0, -0.5, cfg).value
     rhs = (-1.0) ** (z + 1) * (2.0 - 2.0 ** (-z)) * riemann_zeta(-float(z))
     return lhs, rhs, ""
 
 
-_MIRROR_CASES: dict[str, tuple[Callable[[], object], complex, complex]] = {
-    "recip[1,-1/2]": (fams.recip, 1.0, -0.5),
-    "recip[3/4,-3/4]": (fams.recip, 0.75, -0.75),
-    "cube[1,-1/2]": (lambda: fams.poly_summand((0.0, 0.0, 0.0, 1.0)), 1.0, -0.5),
-    "linear[1,7]": (lambda: fams.poly_summand((0.0, 1.0)), 1.0, 7.0),
-}
+# (key, summand constructor, a, b), indexed by the grid's case number
+_MIRROR_CASES: tuple[tuple[str, Callable[[], object], complex, complex], ...] = (
+    ("recip[1,-1/2]", fams.recip, 1.0, -0.5),
+    ("recip[3/4,-3/4]", fams.recip, 0.75, -0.75),
+    ("cube[1,-1/2]", lambda: fams.poly_summand((0.0, 0.0, 0.0, 1.0)), 1.0, -0.5),
+    ("linear[1,7]", lambda: fams.poly_summand((0.0, 1.0)), 1.0, 7.0),
+)
 
 
-def _mirror_eval(point: Point, cfg: EngineConfig):
-    key = {0: "recip[1,-1/2]", 1: "recip[3/4,-3/4]", 2: "cube[1,-1/2]", 3: "linear[1,7]"}[
-        int(_params(point)["case"].real)
-    ]
-    ctor, a, b = _MIRROR_CASES[key]
+def _mirror_eval(cfg: EngineConfig, case: complex):
+    key, ctor, a, b = _MIRROR_CASES[int(case.real)]
     mc = mirror_check(ctor(), a, b, cfg)
     return mc.right.value, mc.left.value, key
 
 
-def _oddp_eval(point: Point, cfg: EngineConfig):
-    p = _params(point)
-    x, n = p["x"], int(p["n"].real)
-    lhs = poly_sum(Polynomial.monomial(2 * n + 1), x, -x)
+def _oddp_eval(cfg: EngineConfig, x: complex, n: complex):
+    lhs = poly_sum(Polynomial.monomial(2 * int(n.real) + 1), x, -x)
     return lhs, 0j, ""
 
 
-def _bd_eval(point: Point, cfg: EngineConfig):
-    x = _params(point)["x"].real
+def _bd_eval(cfg: EngineConfig, x: complex):
+    x = x.real
     s = frac_sum_right(fams.bd_term(x), 1.0, -0.5, cfg).value
     lhs = cmath.exp(-x - s)
     rhs = complex(bd_closed_form(x))
@@ -396,8 +379,8 @@ def _bd_eval(point: Point, cfg: EngineConfig):
     return lhs, rhs, f"finite[{finite}]"
 
 
-def _zpp_eval(point: Point, cfg: EngineConfig):
-    x = _params(point)["x"].real
+def _zpp_eval(cfg: EngineConfig, x: complex):
+    x = x.real
     s = frac_sum_right(fams.zpp_term(x), 1.0, -0.5, cfg).value
     lhs = cmath.exp(s)
     rhs = complex(zpp_closed_form(x))
@@ -405,8 +388,8 @@ def _zpp_eval(point: Point, cfg: EngineConfig):
     return lhs, rhs, f"finite[{finite}]"
 
 
-def _g2_eval(point: Point, cfg: EngineConfig):
-    z = _params(point)["z"].real
+def _g2_eval(cfg: EngineConfig, z: complex):
+    z = z.real
     if z == 0.0:
         # special value G(1/2) through the nu ln nu sum
         s = frac_sum_right(fams.vlnv(), 1.0, -0.5, cfg).value
@@ -425,8 +408,8 @@ def _g2_eval(point: Point, cfg: EngineConfig):
     return lhs, rhs, "ln G"
 
 
-def _xprod_eval(point: Point, cfg: EngineConfig):
-    which = int(_params(point)["case"].real)
+def _xprod_eval(cfg: EngineConfig, case: complex):
+    which = int(case.real)
     if which == 0:
         s = frac_sum_right(fams.ln_gamma_2nu(), 1.0, -0.5, cfg).value
         lhs = cmath.exp(s)
@@ -480,10 +463,8 @@ def _gosper_termwise(b: float) -> float:
     return -val
 
 
-def _gosper_eval(point: Point, cfg: EngineConfig):
-    p = _params(point)
-    b = p["b"].real
-    route = int(p["route"].real)
+def _gosper_eval(cfg: EngineConfig, b: complex, route: complex):
+    b = b.real
     rhs = complex(math.pi * math.sin(b) / (2.0 * b))
     if route == 0:
         return complex(_gosper_series(b)), rhs, "series"
@@ -493,13 +474,14 @@ def _gosper_eval(point: Point, cfg: EngineConfig):
     return complex(_gosper_termwise(b)), rhs, "termwise"
 
 
-def _gosper_summary(records: tuple[PointRecord, ...]) -> tuple[str, ...]:
+def _gosper_summary(points: tuple[Point, ...],
+                    records: tuple[PointRecord, ...]) -> tuple[str, ...]:
+    by_b: dict[float, list[complex]] = {}
+    for pt, r in zip(points, records):
+        by_b.setdefault(dict(pt)["b"].real, []).append(r.lhs)
     notes: list[str] = []
     agree = True
-    bs = sorted({complex(r.point.split(",")[0].split("=")[1].replace("i", "j")).real
-                 for r in records})
-    for b in bs:
-        vals = [r.lhs for r in records if r.point.startswith(f"b={format_complex(b)},")]
+    for b, vals in by_b.items():
         worst = max(abs(u - v) for u in vals for v in vals)
         notes.append(f"b={format_complex(b)}: pairwise max diff {worst!r}")
         if worst > 1e-6:
@@ -514,93 +496,88 @@ def _gosper_summary(records: tuple[PointRecord, ...]) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def register_builtin() -> None:
-    """(Re)build the identity registry with the full builtin set."""
-    _REGISTRY.clear()
-
-    def add(ident: Identity) -> None:
-        _REGISTRY[ident.id] = ident
-
-    add(Identity(
+# The catalog, in report order.
+_IDENTITIES: tuple[Identity, ...] = (
+    Identity(
         id="GEO", kind="theorem",
         formula="sum_{nu=0}^{x} q^nu = (1 - q^(x+1)) / (1 - q)",
         tol=1e-10,
         points=_grid(q=(0.1, 0.5, 0.9), x=(-0.5, 0.5, 1.7, 1j)),
         evaluate=_geo_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="BINOM", kind="theorem",
         formula="sum_{nu=0}^{c} C(c,nu) x^nu = (1+x)^c",
         tol=1e-8,
         points=_grid(c=(0.5, 2.5, 1 + 1j), x=(0.3, -0.3, 0.5j)),
         evaluate=_binom_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="SERMUL", kind="theorem",
         formula="sum of f g + f (partial g) + g (partial f) factors into "
                 "(sum f)(sum g), with f = 0.5^nu, g = 0.3^nu",
         tol=1e-10,
         points=_grid(x=(0.5, -0.25, 2.0)),
         evaluate=_sermul_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="GAMMA", kind="theorem",
         formula="prod_{nu=1}^{z} nu = Gamma(z+1)",
         tol=1e-8,
         points=_grid(z=(0.5, -0.5, 2.5, 1 + 1j)),
         evaluate=_gamma_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="TANH", kind="theorem",
         formula="prod_{nu=1}^{-1/2} (nu^2 + 1) = tanh(pi)",
         tol=1e-8,
         points=((),),
         evaluate=_tanh_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="HARM", kind="theorem",
         formula="sum_{nu=1}^{x} 1/nu = gamma + psi(x+1)",
         tol=1e-8,
         points=_grid(x=(-0.5, 0.25, 1.5, 1j)),
         evaluate=_harm_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="REFL", kind="theorem",
         formula="sum_{nu=x}^{-x} 1/nu = pi cot(pi x)",
         tol=1e-8,
         points=_grid(x=(0.25, 0.3, 0.75)),
         evaluate=_refl_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="HURW", kind="theorem",
         formula="sum_{nu=1}^{x} nu^a = zeta(-a) - zeta(-a, x+1)",
         tol=1e-7,
         points=_grid(a=(-0.5, 0.5, 2.0, 1 + 1j), x=(0.5, 1.7)),
         evaluate=_hurw_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="ZHALF", kind="theorem",
         formula="sum_{nu=1}^{-1/2} nu^a = (2 - 2^(-a)) zeta(-a)",
         tol=1e-8,
         points=_grid(a=(1.0, 2.0, 0.5)),
         evaluate=_zhalf_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="VLNV", kind="theorem",
         formula="sum_{nu=1}^{-1/2} nu ln nu = -ln2/24 - (3/2) zeta'(-1)",
         tol=1e-7,
         points=((),),
         evaluate=_vlnv_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="LNGAM", kind="theorem",
         formula="sum_{nu=1}^{-1/2} ln nu = ln Gamma(1/2); corollary "
                 "zeta'(0) = -ln(2 pi)/2",
         tol=1e-8,
         points=_grid(part=(0, 1)),
         evaluate=_lngam_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="LEFTP", kind="theorem",
         formula="left sum_{nu=1}^{-1/2} nu^z = (-1)^(z+1) (2 - 2^(-z)) zeta(-z)",
         tol=1e-8,
@@ -614,22 +591,22 @@ def register_builtin() -> None:
             "continues to exp(3 i pi/2)(2-2^(-1/2)) zeta(-1/2), a genuinely "
             "different (imaginary) value",
         ),
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="MIRROR", kind="theorem",
         formula="right sum_{nu=a}^{b} f(nu) equals left sum_{nu=-b}^{-a} f(-nu)",
         tol=1e-8,
         points=_grid(case=(0, 1, 2, 3)),
         evaluate=_mirror_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="ODDP", kind="theorem",
         formula="sum_{nu=x}^{-x} nu^(2n+1) = 0",
         tol=1e-10,
         points=_grid(x=(0.3, 1 + 2j), n=(0, 1, 2)),
         evaluate=_oddp_eval,
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="BD", kind="theorem",
         formula="prod_{k} (1 + 2x/k)^(-k (-1)^k) = 2^(-1/12) "
                 "(Gamma(x+1/2)/Gamma(x+1))^(2x) exp(-x - 2 zeta'(-1, x+1/2) "
@@ -642,8 +619,8 @@ def register_builtin() -> None:
             "also carries the defining finite products at n in {1, 10, 50, 500}, "
             "judged only for monotone approach by the acceptance suite",
         ),
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="ZPP", kind="theorem",
         formula="lim (2n)^(-1/2 - x - (n + 1/4) ln(2n)) prod_{k<=2n} "
                 "(k+x)^((-1)^k k ln(k+x)) equals the zeta''/zeta' closed form",
@@ -657,8 +634,8 @@ def register_builtin() -> None:
             "zeta'(+1, ...) would be a pole; the corrected form is what the "
             "numerics confirm",
         ),
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="G2", kind="theorem",
         formula="ln G(z) = (z-1) ln Gamma(z) + zeta'(-1) - zeta'(-1, z); "
                 "G(1/2) = pi^(-1/4) 2^(1/24) exp((3/2) zeta'(-1))",
@@ -670,8 +647,8 @@ def register_builtin() -> None:
             "lhs = sum_{nu=1}^{z-1} ln Gamma(nu): the double fractional sum with "
             "the inner sum in closed form",
         ),
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="XPROD", kind="theorem",
         formula="prod_{n=1}^{-1/2} (2n)! = (pi/2)^(1/4); prod_{n=1}^{-1/2} "
                 "(n!)^(ln n) and prod_{n=1/4}^{-1/4} (n!)^n in "
@@ -684,8 +661,8 @@ def register_builtin() -> None:
             "quotes the magnitude without a sign, and only the negative value "
             "matches the product",
         ),
-    ))
-    add(Identity(
+    ),
+    Identity(
         id="GOSPER", kind="experiment",
         formula="sum_{n>=0} (-1)^n/(n+1/2) sin(sqrt(b^2 + pi^2 (n+1/2)^2)) / "
                 "sqrt(b^2 + pi^2 (n+1/2)^2) = pi sin(b) / (2b)",
@@ -699,18 +676,17 @@ def register_builtin() -> None:
             "exact polynomial algebra",
         ),
         summarize=_gosper_summary,
-    ))
+    ),
+)
+
+_REGISTRY: dict[str, Identity] = {i.id: i for i in _IDENTITIES}
 
 
 def identity_ids() -> tuple[str, ...]:
-    if not _REGISTRY:
-        register_builtin()
     return tuple(_REGISTRY)
 
 
 def get_identity(identity_id: str) -> Identity:
-    if not _REGISTRY:
-        register_builtin()
     try:
         return _REGISTRY[identity_id]
     except KeyError:
@@ -734,7 +710,7 @@ def run_identity(identity_id: str, cfg: EngineConfig = DEFAULT_CONFIG) -> Identi
     for pt in ident.points:
         label = _label(pt)
         try:
-            lhs, rhs, note = ident.evaluate(pt, cfg)
+            lhs, rhs, note = ident.evaluate(cfg, **dict(pt))
         except FracsumError as exc:
             records.append(PointRecord(
                 identity=ident.id, point=label,
@@ -759,7 +735,7 @@ def run_identity(identity_id: str, cfg: EngineConfig = DEFAULT_CONFIG) -> Identi
     all_pass = None if ident.kind == "experiment" else all(r.passed for r in records)
     notes = ident.notes
     if ident.summarize is not None:
-        notes = notes + ident.summarize(tuple(records))
+        notes = notes + ident.summarize(ident.points, tuple(records))
     return IdentityReport(
         identity=ident.id, kind=ident.kind, records=tuple(records),
         max_rel_err=max_rel, all_pass=all_pass, notes=notes,
@@ -801,14 +777,3 @@ def figure_csv(which: str) -> str:
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
-
-def emit_figure(which: str, path: str) -> None:
-    """Write figure_csv(which) to path.
-
-    Raises:
-        ParameterError: unknown figure name.
-        OSError: unwritable path.
-    """
-    text = figure_csv(which)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -12,7 +12,6 @@ import json
 import sys
 
 from .catalog import (
-    emit_figure,
     figure_csv,
     format_complex,
     get_identity,
@@ -216,10 +215,7 @@ def _cmd_identity_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.path is None:
-        _emit(figure_csv(args.which), None)
-    else:
-        emit_figure(args.which, args.path)
+    _emit(figure_csv(args.which), args.path)
     return 0
 
 

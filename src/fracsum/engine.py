@@ -119,7 +119,7 @@ class EngineConfig:
             raise ParameterError(
                 f"extrap_order must be in [0, n_levels), got {self.extrap_order}"
             )
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects nan
             raise ParameterError(f"tol must be positive, got {self.tol}")
 
 

@@ -206,20 +206,17 @@ def binom(c: complex, x: complex) -> Summand:
     return Summand(eval=ev, sigma=SIGMA_NEG_INF, rate_hint=1.0, label=f"binom:{c}:{x}")
 
 
+def _times_t(g: Callable[[int, complex], complex]) -> Callable[[int, complex], complex]:
+    """The derivatives of t g(t) from those of g: d^k (t g) = k g^(k-1) + t g^(k)."""
+    return lambda k, t: t * g(0, t) if k == 0 else k * g(k - 1, t) + t * g(k, t)
+
+
 def vlnv() -> Summand:
     """f(nu) = nu ln nu; sigma = 1 (the ln-slope term must be subtracted)."""
-
-    def dv(k: int, t: complex) -> complex:
-        if k == 0:
-            return t * cmath.log(t)
-        if k == 1:
-            return cmath.log(t) + 1.0
-        return (-1.0) ** k * math.factorial(k - 2) * t ** (1 - k)
-
     return Summand(
         eval=lambda pts: pts * np.log(pts),
         sigma=1,
-        deriv=dv,
+        deriv=_times_t(log_summand().deriv),
         domain_guard=_off_cut,
         rate_hint=1.0,
         label="vlnv",
@@ -291,16 +288,10 @@ def lognu_lnfact() -> Summand:
 
 def nu_lnfact() -> Summand:
     """f(nu) = nu * ln Gamma(nu + 1); needs sigma = 4 for an n^{-3} remainder."""
-    G = lnfact().deriv
-
-    def dv(k: int, t: complex) -> complex:
-        # d^k (t G) = k G^(k-1) + t G^(k)
-        return t * G(0, t) if k == 0 else k * G(k - 1, t) + t * G(k, t)
-
     return Summand(
         eval=lambda pts: pts * log_gamma(pts + 1.0),
         sigma=4,
-        deriv=dv,
+        deriv=_times_t(lnfact().deriv),
         domain_guard=lambda pts: _off_cut(pts + 1.0),
         rate_hint=3.0,
         label="nu*lnfact",
@@ -314,15 +305,9 @@ def bd_term(x: complex) -> Summand:
     def ev(pts: np.ndarray) -> np.ndarray:
         return 2.0 * pts * np.log1p(x / pts)
 
-    def dv(k: int, t: complex) -> complex:
-        if k == 0:
-            return 2.0 * t * cmath.log(1.0 + x / t)
-        raise ParameterError("bd_term only provides the value; sigma is 0")
-
     return Summand(
         eval=ev,
         sigma=0,
-        deriv=dv,
         domain_guard=lambda pts: _off_cut(1.0 + x / pts),
         rate_hint=2.0,
         label=f"bd:{x}",
@@ -366,16 +351,8 @@ def zpp_term(x: complex) -> Summand:
 
 
 def identity_factor() -> Summand:
-    """Factor f(nu) = nu for products; sigma/rate describe ln nu."""
-    return Summand(
-        eval=lambda pts: pts,
-        sigma=0,
-        deriv=lambda k, t: cmath.log(t) if k == 0 else
-        (-1.0) ** (k - 1) * math.factorial(k - 1) * t ** (-k),
-        domain_guard=_nonzero,
-        rate_hint=1.0,
-        label="id",
-    )
+    """Factor f(nu) = nu for products; sigma/deriv/rate are those of ln nu."""
+    return replace(log_summand(), eval=lambda pts: pts, domain_guard=_nonzero, label="id")
 
 
 def tanh_factor() -> Summand:
@@ -480,10 +457,11 @@ _SPEC_KEYS = {"pow": ("a",), "geom": ("q",), "binom": ("c", "x")}
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the literal grammar A, A+Bi, A-Bi (decimal A, B)."""
+    """Parse the literal grammar A, A+Bi, A-Bi (finite decimal A, B)."""
     s = text.strip().replace(" ", "")
     if not s:
         raise SummandSpecError("empty complex literal")
+    re_part, im_part = s, "0"
     if s.endswith("i"):
         body = s[:-1]
         # split at the last +/- that is not a leading sign or exponent sign
@@ -495,14 +473,14 @@ def parse_complex(text: str) -> complex:
             re_part, im_part = "0", body
         if im_part in ("+", "-"):
             im_part += "1"
-        try:
-            return complex(float(re_part), float(im_part))
-        except ValueError as exc:
-            raise SummandSpecError(f"bad complex literal {text!r}") from exc
     try:
-        return complex(float(s), 0.0)
+        z = complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise SummandSpecError(f"bad complex literal {text!r}") from exc
+    # float() also reads nan, inf and overflowing exponents such as 1e400
+    if not cmath.isfinite(z):
+        raise SummandSpecError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _parse_spec(spec: str) -> tuple[str, tuple]:

@@ -11,7 +11,6 @@ import pytest
 
 from fracsum.catalog import (
     bd_closed_form,
-    emit_figure,
     figure_csv,
     get_identity,
     gosper_series_coeffs,
@@ -207,17 +206,6 @@ def test_figure_csv_structure(which, header, closed):
     assert len(xs) == 41
 
 
-def test_emit_figure_writes_the_csv(tmp_path):
-    out = tmp_path / "bd.csv"
-    emit_figure("bd", str(out))
-    assert out.read_text() == figure_csv("bd")
-
-
 def test_emit_figure_unknown_name():
     with pytest.raises(ParameterError):
         figure_csv("nope")
-
-
-def test_emit_figure_unwritable_path():
-    with pytest.raises(OSError):
-        emit_figure("bd", "/nonexistent-dir-for-sure/out.csv")

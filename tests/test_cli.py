@@ -64,6 +64,18 @@ def test_bad_complex_literal_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "--f", "geom:q=0.5", "--from", "nan", "--to", "1"],
+    ["sum", "--f", "recip", "--from", "1", "--to=inf"],
+    ["sum", "--f", "pow:a=nan", "--from", "1", "--to", "2"],
+])
+def test_non_finite_literal_exits_one(capsys, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 1
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_bad_flag_exits_one(capsys):
     rc, _, err = run(capsys, ["sum", "--f", "recip", "--no-such-flag", "1"])
     assert rc == 1
@@ -166,6 +178,15 @@ def test_figure_to_path_and_stdout(capsys, tmp_path):
     rc, out, _ = run(capsys, ["figure", "--which", "zeta2"])
     assert rc == 0
     assert out.splitlines()[0] == "x,closed_form,n=10,n=100,n=1000"
+
+
+def test_figure_to_unwritable_path_exits_one(capsys):
+    rc, out, err = run(capsys, ["figure", "--which", "bd",
+                                "--path", "/nonexistent-dir/out.csv"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_identity_list_formats(capsys):

@@ -537,6 +537,8 @@ def test_engine_config_validation():
         EngineConfig(n_levels=4, extrap_order=4)
     with pytest.raises(ParameterError):
         EngineConfig(tol=0.0)
+    with pytest.raises(ParameterError):
+        EngineConfig(tol=math.nan)
 
 
 def test_summand_validation():

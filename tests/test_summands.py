@@ -64,7 +64,8 @@ def test_derivatives_match_finite_differences(f, center, orders):
     (summands.ln_gamma_2nu(), lambda mp, t: mp.loggamma(2 * t + 1)),
     (summands.lognu_lnfact(), lambda mp, t: mp.log(t) * mp.loggamma(t + 1)),
     (summands.nu_lnfact(), lambda mp, t: t * mp.loggamma(t + 1)),
-], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact"])
+    (summands.vlnv(), lambda mp, t: t * mp.log(t)),
+], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv"])
 def test_log_gamma_family_derivatives_match_mpmath(f, ref):
     # every order a higher Taylor degree would ask for, not only k <= 3
     mpmath = pytest.importorskip("mpmath")
@@ -189,7 +190,8 @@ def test_parse_complex_grammar():
     assert pc("0.5i") == 0.5j
     assert pc("-i") == -1j
     assert pc("1e-3+2.5e2i") == complex(1e-3, 250.0)
-    for bad in ("", "2+", "i2", "1+2j*", "abc"):
+    for bad in ("", "2+", "i2", "1+2j*", "abc",
+                "nan", "inf", "-inf", "1+nani", "infi", "1e400"):
         with pytest.raises(SummandSpecError):
             pc(bad)
 
