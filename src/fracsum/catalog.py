@@ -12,6 +12,7 @@ their findings.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -80,6 +81,9 @@ def format_complex(z: complex) -> str:
     return f"{_fmt_num(z.real)}{sign}{_fmt_num(abs(z.imag))}i"
 
 
+# The points all come from the fixed grids of the catalog table, so the cache
+# is bounded by the table, and every report of a point shares one label.
+@functools.cache
 def _label(point: Point) -> str:
     if not point:
         return "-"

@@ -65,7 +65,7 @@ def _engine_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n-start", type=int, default=None,
                     help="first level size n0 (default 64)")
     sp.add_argument("--levels", type=int, default=None,
-                    help="number of doubling levels (default 8)")
+                    help="most doubling levels a sum runs (default 8)")
     sp.add_argument("--order", type=int, default=None,
                     help="Richardson eliminations (default 4)")
     sp.add_argument("--tol", type=float, default=None,

@@ -9,9 +9,10 @@ offset n), then
                   + sum_{nu=1}^{n} (f(nu+x-1) - f(nu+y)) ]   (classical)
 
 for right sums; left sums replace n -> -n with tails running downward. The
-limit is discretized on doubling levels n_j = n0 * 2^j and accelerated by
-Richardson extrapolation. Fractional products are exp of the fractional sum
-of the principal log of the factor.
+limit is discretized on at most n_levels doubling levels n_j = n0 * 2^j and
+accelerated by Richardson extrapolation; the loop stops at the first level
+after which no deeper level prefix could be the one kept. Fractional
+products are exp of the fractional sum of the principal log of the factor.
 
 Numerical notes that matter here:
 
@@ -100,9 +101,10 @@ class Summand:
 class EngineConfig:
     """Discretization of the defining limit.
 
-    Levels are n_j = n_start * 2^j for j < n_levels; extrap_order Richardson
-    eliminations are applied to the level values; tol is the target
-    absolute-or-relative error for the converged flag.
+    Levels are n_j = n_start * 2^j for j < n_levels, at most; extrap_order
+    Richardson eliminations are applied to the level values; tol is the
+    target absolute-or-relative error for the converged flag, positive and
+    finite.
     """
 
     n_start: int = 64
@@ -119,8 +121,8 @@ class EngineConfig:
             raise ParameterError(
                 f"extrap_order must be in [0, n_levels), got {self.extrap_order}"
             )
-        if not self.tol > 0:  # also rejects nan
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:  # also rejects nan
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -130,8 +132,9 @@ DEFAULT_CONFIG = EngineConfig()
 class SumResult:
     """Outcome of one engine evaluation.
 
-    levels holds the raw per-level values (n_j, S(n_j)) before extrapolation
-    for diagnostics; converged means err_estimate <= tol.
+    levels holds the raw values (n_j, S(n_j)) of the levels run, before
+    extrapolation, for diagnostics (the exact routes list every level of the
+    schedule, each with the exact value); converged means err_estimate <= tol.
     """
 
     value: complex
@@ -280,70 +283,91 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     weights: list[complex] = []
     if use_poly:
         weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(int(f.sigma) + 1)]
+
+    def orbit(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Orbit points past n = lo up to n = hi: where f is added, where subtracted."""
+        if left:
+            ks = np.arange(lo, hi, dtype=float)
+            return y - ks, (x - 1.0) - ks
+        nus = np.arange(lo + 1, hi + 1, dtype=float)
+        return nus + (x - 1.0), nus + y
+
+    def poly_part(n: int) -> complex:
+        if not use_poly:
+            return 0j
+        center = -float(n) if left else float(n)
+        return sum(c * w for c, w in zip(_taylor_coeffs(f, center), weights))
+
+    order = min(cfg.extrap_order, cfg.n_levels - 1)
+    rate = f.rate_hint or 1.0
+    eps = float(np.finfo(float).eps)
+    last = cfg.n_start << (cfg.n_levels - 1)
     partials: list[complex] = []
     levels: list[tuple[int, complex]] = []
+    walk: list[float] = []
     done = 0
     cancel_mag = 0.0
     term_sq = 0.0  # sum of |f|^2 over the points evaluated so far
-    term_sq_at: list[float] = []
+    value, err, m_used = None, math.inf, cfg.n_levels
     for j in range(cfg.n_levels):
         n = cfg.n_start << j
-        if left:
-            ks = np.arange(done, n, dtype=float)
-            pts_pos = y - ks
-            pts_neg = (x - 1.0) - ks
-        else:
-            nus = np.arange(done + 1, n + 1, dtype=float)
-            pts_pos = nus + (x - 1.0)
-            pts_neg = nus + y
-        pts_pos = pts_pos.astype(complex)
-        pts_neg = pts_neg.astype(complex)
+        pts_pos, pts_neg = orbit(done, n)
         _guard_check(f, pts_pos)
         _guard_check(f, pts_neg)
         vals_pos = np.asarray(f.eval(pts_pos))
         vals_neg = np.asarray(f.eval(pts_neg))
         partials.append(_fsum(vals_pos - vals_neg))
         term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
-        term_sq_at.append(term_sq)
+        # Every evaluated term carries about 2 eps * |f| of rounding, and a
+        # level's terms add it up like a random walk. Neighbouring deep levels
+        # carry alike amounts of that noise, so the tableau's last difference
+        # need not see it.
+        walk.append(2.0 * eps * math.sqrt(term_sq))
         done = n
         tail = _fsum(partials)
-        p_term = 0j
-        if use_poly:
-            center = -float(n) if left else float(n)
-            p_term = sum(c * w for c, w in zip(_taylor_coeffs(f, center), weights))
+        p_term = poly_part(n)
         cancel_mag = max(cancel_mag, abs(tail) + abs(p_term))
         levels.append((n, tail + p_term))
-    order = min(cfg.extrap_order, cfg.n_levels - 1)
-    rate = f.rate_hint or 1.0
-    eps = float(np.finfo(float).eps)
-    # Every evaluated term carries about 2 eps * |f| of rounding, and a
-    # level's terms add it up like a random walk. Neighbouring deep levels
-    # carry alike amounts of that noise, so the tableau's last difference
-    # need not see it.
-    walk = [2.0 * eps * math.sqrt(s) for s in term_sq_at]
-    # Extrapolate every level prefix and keep the one with the smallest
-    # claim, a claim being no smaller than the rounding its levels carry.
-    # For cleanly converging families the full tableau wins; for growing
-    # summands (nu * lnGamma and friends) the deepest levels are dominated
-    # by rounding noise, and the extrapolation must stop at the noise floor
-    # instead of folding that noise into the value.
-    value, err, m_used = None, math.inf, len(levels)
-    for m in range(order + 1, len(levels) + 1):
-        v, e = richardson_extrapolate(levels[:m], order, rate)
-        e = max(e, walk[m - 1])
+        if len(levels) <= order:
+            continue
+        # Extrapolate every level prefix and keep the first one with the
+        # smallest claim, a claim being no smaller than the rounding its
+        # levels carry. For cleanly converging families the full tableau
+        # wins; for growing summands (nu * lnGamma and friends) the deepest
+        # levels are dominated by rounding noise, and the extrapolation must
+        # stop at the noise floor instead of folding that noise in.
+        v, e = richardson_extrapolate(levels, order, rate)
+        e = max(e, walk[-1])
         if math.isfinite(e) and e < err:
-            value, err, m_used = v, e, m
+            value, err, m_used = v, e, len(levels)
+        # Stop once no deeper prefix can be kept: a deeper prefix claims at
+        # least its own walk, the walk never decreases as points are added,
+        # and this walk already reaches the best claim, so no deeper claim is
+        # strictly smaller. A NaN walk never stops the loop, nor does any
+        # walk before a finite claim: the fallback below uses every level.
+        if value is not None and walk[-1] >= err:
+            break
     if value is None:
         value, err = richardson_extrapolate(levels, order, rate)
     n_used = levels[m_used - 1][0]
+    if done < last and f.domain_guard is not None:
+        # The stop saves evaluations, not the domain: an orbit that meets a
+        # pole or a cut past the stop still has no limit.
+        for pts in orbit(done, last):
+            _guard_check(f, pts)
     if math.isfinite(err):
         # Level agreement cannot certify below the rounding floor of the
         # tail/poly-part cancellation plus the terms' own rounding; an
         # estimate under that floor would overstate the precision actually
-        # delivered. The absolute term, a subnormal ulp per term evaluated,
-        # keeps that floor above zero for summands scaled into the
-        # subnormal range, where the relative parts underflow.
-        floor = 8.0 * eps * cancel_mag + walk[m_used - 1] + 2 * done * math.ulp(0.0)
+        # delivered. The absolute term, a subnormal ulp per term of the
+        # schedule, keeps that floor above zero for summands scaled into the
+        # subnormal range, where the relative parts underflow. A level the
+        # stop skipped counts too: its S(n) = tail + p(n) has reached the
+        # value, so its tail is value - p(n).
+        for j in range(len(levels), cfg.n_levels):
+            p_term = poly_part(cfg.n_start << j)
+            cancel_mag = max(cancel_mag, abs(value - p_term) + abs(p_term))
+        floor = 8.0 * eps * cancel_mag + walk[m_used - 1] + 2 * last * math.ulp(0.0)
         err = max(err, floor)
     scale = max(1.0, abs(value))
     converged = bool(math.isfinite(err) and err <= cfg.tol * scale)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import replace
 from typing import Callable
 
@@ -456,6 +457,9 @@ _SPEC_FAMILIES: dict[str, Callable[..., Summand]] = {
 _SPEC_KEYS = {"pow": ("a",), "geom": ("q",), "binom": ("c", "x")}
 
 
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def parse_complex(text: str) -> complex:
     """Parse the literal grammar A, A+Bi, A-Bi (finite decimal A, B)."""
     s = text.strip().replace(" ", "")
@@ -473,11 +477,11 @@ def parse_complex(text: str) -> complex:
             re_part, im_part = "0", body
         if im_part in ("+", "-"):
             im_part += "1"
-    try:
-        z = complex(float(re_part), float(im_part))
-    except ValueError as exc:
-        raise SummandSpecError(f"bad complex literal {text!r}") from exc
-    # float() also reads nan, inf and overflowing exponents such as 1e400
+    # float() alone would also read 1_0 and non-ASCII digits
+    if not (_DECIMAL.fullmatch(re_part) and _DECIMAL.fullmatch(im_part)):
+        raise SummandSpecError(f"bad complex literal {text!r}")
+    z = complex(float(re_part), float(im_part))
+    # a decimal exponent can still overflow, as in 1e400
     if not cmath.isfinite(z):
         raise SummandSpecError(f"complex literal {text!r} is not finite")
     return z

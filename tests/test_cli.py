@@ -68,6 +68,8 @@ def test_bad_complex_literal_exits_one(capsys):
     ["sum", "--f", "geom:q=0.5", "--from", "nan", "--to", "1"],
     ["sum", "--f", "recip", "--from", "1", "--to=inf"],
     ["sum", "--f", "pow:a=nan", "--from", "1", "--to", "2"],
+    ["sum", "--f", "recip", "--from", "1", "--to", "-0.5", "--tol", "inf",
+     "--levels", "2", "--order", "1"],
 ])
 def test_non_finite_literal_exits_one(capsys, argv):
     rc, _, err = run(capsys, argv)

@@ -224,6 +224,50 @@ def test_levels_are_doubling_diagnostics():
     assert [n for n, _ in res.levels] == [32 << j for j in range(6)]
 
 
+# (summand, x, y, left, value, n_used, converged, stops): running every
+# level of the schedule gave these bits; stopping once no deeper level prefix
+# can be kept must give them too, and the cases marked stops run fewer levels.
+EARLY_STOP_CASES = [
+    (lnfact(), 1.0, 0.5, False, complex(-0.053850349183708776, 0.0), 1024, True, True),
+    (ln_gamma_2nu(), 0.7, 1.45, False, complex(1.6896409339724914, 0.0), 1024, True, False),
+    (nu_lnfact(), 1.0, 0.5, False, complex(-0.04895382468391253, 0.0), 1024, False, False),
+    (binom(2.5, 0.3), 0.0, 2.5, False, complex(1.926896468417543, 0.0), 1024, True, True),
+    (vlnv(), 1.0, 0.5, False, complex(-0.12732300724632184, 0.0), 1024, True, False),
+    (power(0.5), 0.3, 1.45, False, complex(1.8938722560102397, 0.0), 2048, True, False),
+    (recip(), 1.0, -0.5, False, complex(-1.3862943611198906, 0.0), 2048, True, False),
+    (geom(2.0), 0.3, 1.45, True, complex(4.233016613672666, 0.0), 1024, True, False),
+]
+
+
+@pytest.mark.parametrize("f, x, y, left, value, n_used, converged, stops", EARLY_STOP_CASES)
+def test_early_stop_keeps_value_and_prefix(f, x, y, left, value, n_used, converged, stops):
+    res = (frac_sum_left if left else frac_sum_right)(f, x, y)
+    assert (res.value, res.n_used, res.converged) == (value, n_used, converged)
+    if stops:
+        assert len(res.levels) < DEFAULT_CONFIG.n_levels
+
+
+def test_early_stop_saves_orbit_points():
+    f = lnfact()
+    points = []
+
+    def counted(pts):
+        points.append(len(pts))
+        return f.eval(pts)
+
+    frac_sum_right(replace(f, eval=counted), 1.0, 0.5)
+    # all 8 levels would be 2 * 8192 = 16384 points
+    assert sum(points) <= 2 * 4096
+
+
+def test_domain_error_past_the_stop_is_still_raised():
+    # the left geom(2) sum over [0.3, 1.45] stops after the level n = 1024
+    f = replace(geom(2.0), domain_guard=lambda pts: pts.real > -1500.0)
+    assert len(frac_sum_left(geom(2.0), 0.3, 1.45).levels) < DEFAULT_CONFIG.n_levels
+    with pytest.raises(DomainError):
+        frac_sum_left(f, 0.3, 1.45)
+
+
 def test_non_convergence_is_flagged_not_fabricated():
     cfg = EngineConfig(n_start=1, n_levels=3, extrap_order=1, tol=1e-12)
     res = frac_sum_right(recip(), 1.0, -0.5, cfg)
@@ -539,6 +583,8 @@ def test_engine_config_validation():
         EngineConfig(tol=0.0)
     with pytest.raises(ParameterError):
         EngineConfig(tol=math.nan)
+    with pytest.raises(ParameterError):
+        EngineConfig(tol=math.inf)
 
 
 def test_summand_validation():

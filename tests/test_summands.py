@@ -191,7 +191,8 @@ def test_parse_complex_grammar():
     assert pc("-i") == -1j
     assert pc("1e-3+2.5e2i") == complex(1e-3, 250.0)
     for bad in ("", "2+", "i2", "1+2j*", "abc",
-                "nan", "inf", "-inf", "1+nani", "infi", "1e400"):
+                "nan", "inf", "-inf", "1+nani", "infi", "1e400",
+                "1_0", "1_0+2_5i", "\u0663"):
         with pytest.raises(SummandSpecError):
             pc(bad)
 
