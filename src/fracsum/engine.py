@@ -22,7 +22,9 @@ Numerical notes that matter here:
   while avoiding the catastrophic cancellation of expanded coefficients.
 * Classical tails are reused incrementally across levels: each level adds
   the correctly rounded sum (math.fsum) of its new terms as one partial,
-  and the tail is the math.fsum of the partials.
+  and the tail is the math.fsum of the partials. Long levels reach the same
+  double through an exact split in numpy first (_exact_sum), so a deep
+  level costs little more than evaluating its terms.
 """
 from __future__ import annotations
 
@@ -227,10 +229,45 @@ def _guard_check(f: Summand, pts: np.ndarray) -> None:
         raise DomainError(f"summand undefined at orbit point {bad}", complex(bad))
 
 
+# From this many values on, _exact_sum beats math.fsum over a Python list.
+_SPLIT_MIN = 1024
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a), most of it done in numpy.
+
+    Two passes of Rump, Ogita and Oishi's ExtractVector: with sigma = 2^k
+    above 2 len(a) max|a|, (a + sigma) - sigma is the high part of each
+    value on a grid of spacing 2^(k-53), and the rest is exact. Every
+    partial sum of the high parts is a multiple of that spacing below
+    sigma, so numpy adds them exactly in any order; the rests are at most
+    the spacing, and the second pass splits them the same way. fsum of the
+    two exact sums and the nonzero rests has the same exact total as a, so
+    it rounds to the same double.
+    """
+    m = float(np.max(np.abs(a)))
+    if not 2.0**-900 < m < 2.0**900:  # zeros, inf, nan, or near the exponent limits
+        if m == 0.0 and not np.signbit(a).any():
+            return 0.0
+        return math.fsum(a.tolist())
+    grow = (2 * a.size).bit_length()  # 2^grow > 2 len(a)
+    k = math.frexp(m)[1] + grow
+    highs, rest = [], a
+    for _ in range(2):
+        sigma = math.ldexp(1.0, k)
+        high = (rest + sigma) - sigma
+        rest = rest - high
+        highs.append(float(high.sum()))
+        k += grow - 53  # the rests are at most 2^(k-53)
+    return math.fsum([*highs, *rest[rest != 0.0].tolist()])
+
+
 def _fsum(vals) -> complex:
     """Correctly rounded sum of complex values, real and imaginary parts apart."""
     vals = np.asarray(vals, dtype=complex)
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    if vals.size < _SPLIT_MIN:
+        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    return complex(_exact_sum(vals.real), _exact_sum(vals.imag))
 
 
 def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:

@@ -268,6 +268,37 @@ def test_domain_error_past_the_stop_is_still_raised():
         frac_sum_left(f, 0.3, 1.45)
 
 
+def _fsum_cases(n):
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal(n) * np.exp2(rng.integers(-300, 300, n))
+    half = rng.standard_normal(n // 2) * np.exp2(rng.integers(-60, 60, n // 2))
+    cancel = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    tie = np.zeros(n)
+    tie[:3] = 1.0, 2.0**-53, -(2.0**-106)
+    cases = {
+        f"one sign, like magnitudes {i}": (1.0 + rng.random(n)) * (1.0 - 1j) for i in range(8)
+    }
+    return cases | {
+        "wide": wide + 1j * rng.permutation(wide),
+        "exact zero real part, negative zero imaginary parts": cancel - 0j,
+        "round-to-even tie": tie + 1j * np.full(n, -0.0),
+        "geometric decay into underflow": np.exp(np.arange(n) * (-0.9 + 0.5j)),
+        "inf": np.append(wide[:-1], np.inf) + 0j,
+    }
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 4097])
+def test_level_partials_are_math_fsum_bit_for_bit(n):
+    from fracsum.engine import _fsum
+
+    for name, vals in _fsum_cases(n).items():
+        want = (math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+        got = _fsum(vals)
+        assert (got.real.hex(), got.imag.hex()) == tuple(w.hex() for w in want), name
+    with pytest.raises(ValueError):  # math.fsum's error for inf - inf
+        _fsum(np.append(np.ones(n - 2), [np.inf, -np.inf]))
+
+
 def test_non_convergence_is_flagged_not_fabricated():
     cfg = EngineConfig(n_start=1, n_levels=3, extrap_order=1, tol=1e-12)
     res = frac_sum_right(recip(), 1.0, -0.5, cfg)
