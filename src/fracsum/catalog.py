@@ -65,7 +65,7 @@ Point = tuple[tuple[str, complex], ...]
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if v.is_integer() and abs(v) < 1e15:  # inf and nan are not integers
         return str(int(v))
     return repr(v)
 

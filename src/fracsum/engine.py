@@ -10,9 +10,13 @@ offset n), then
 
 for right sums; left sums replace n -> -n with tails running downward. The
 limit is discretized on at most n_levels doubling levels n_j = n0 * 2^j and
-accelerated by Richardson extrapolation; the loop stops at the first level
-after which no deeper level prefix could be the one kept. Fractional
-products are exp of the fractional sum of the principal log of the factor.
+accelerated by Richardson extrapolation, in one pass over that schedule: the
+orbit of the whole schedule is checked against the summand's domain before
+any term is evaluated, the polynomial part of every level is computed once,
+and each level run adds one row to a single Richardson tableau. The loop
+stops at the first level after which no deeper level prefix could be the
+one kept. Fractional products are exp of the fractional sum of the
+principal log of the factor.
 
 Numerical notes that matter here:
 
@@ -24,7 +28,10 @@ Numerical notes that matter here:
   the correctly rounded sum (math.fsum) of its new terms as one partial,
   and the tail is the math.fsum of the partials. Long levels reach the same
   double through an exact split in numpy first (_exact_sum), so a deep
-  level costs little more than evaluating its terms.
+  level costs little more than evaluating its terms. A tail that is not
+  finite (a summand growing past the float range) is a DomainError.
+* A tableau row depends only on the row before it, so the diagonal entry of
+  a level prefix is, bit for bit, the extrapolant of that prefix alone.
 """
 from __future__ import annotations
 
@@ -69,7 +76,8 @@ class Summand:
     a point; it is required for sigma >= 1, and without it a sigma = 0
     summand takes its value from eval. domain_guard(points) -> bool array
     marks points where f is defined. rate_hint is the expected leading error
-    decay exponent p in n^{-p}, used by Richardson extrapolation.
+    decay exponent p in n^{-p} (1 unless stated), used by Richardson
+    extrapolation.
 
     exact_poly declares that f IS this polynomial. Then p_n reproduces f
     identically and every level value equals poly_sum(f, x, y) by continued
@@ -85,7 +93,7 @@ class Summand:
     sigma: float = SIGMA_NEG_INF
     deriv: Callable[[int, complex], complex] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
-    rate_hint: float | None = None
+    rate_hint: float = 1.0
     exact_poly: Polynomial | None = None
     label: str = ""
 
@@ -95,7 +103,7 @@ class Summand:
             raise ParameterError(f"sigma must be an integer >= -1 or SIGMA_NEG_INF, got {s}")
         if s >= 1 and self.deriv is None:
             raise ParameterError(f"sigma = {s} needs deriv for the Taylor coefficients")
-        if self.rate_hint is not None and self.rate_hint <= 0:
+        if not self.rate_hint > 0:  # also rejects nan
             raise ParameterError(f"rate_hint must be positive, got {self.rate_hint}")
 
 
@@ -184,16 +192,22 @@ def richardson_extrapolate(
         if b != 2 * a:
             raise ParameterError(f"levels must double: {a} -> {b}")
     diag: list[complex] = []
-    prev_row: list[complex] = []
-    for j, (_, v) in enumerate(levels):
-        row = [complex(v)]
-        for k in range(1, min(j, order) + 1):
-            denom = 2.0 ** (rate_hint + k - 1) - 1.0
-            row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / denom)
+    row: list[complex] = []
+    for _, v in levels:
+        row = _richardson_row(row, v, order, rate_hint)
         diag.append(row[-1])
-        prev_row = row
     err = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else math.inf
     return diag[-1], err
+
+
+def _richardson_row(prev: list[complex], v: complex, order: int, rate: float) -> list[complex]:
+    """The tableau row of a new level value v, given the row of the level
+    before it (empty for the first level): up to order eliminations."""
+    row = [complex(v)]
+    for k in range(1, min(len(prev), order) + 1):
+        denom = 2.0 ** (rate + k - 1) - 1.0
+        row.append(row[k - 1] + (row[k - 1] - prev[k - 1]) / denom)
+    return row
 
 
 def _taylor_coeffs(f: Summand, center: complex) -> list[complex]:
@@ -270,20 +284,20 @@ def _fsum(vals) -> complex:
     return complex(_exact_sum(vals.real), _exact_sum(vals.imag))
 
 
+def _exact(value: complex, err: float, cfg: EngineConfig) -> SumResult:
+    """Result of a closed route: every level of the schedule has the value."""
+    levels = tuple((cfg.n_start << j, value) for j in range(cfg.n_levels))
+    converged = bool(err <= cfg.tol * max(1.0, abs(value)))
+    return SumResult(value=value, err_estimate=err, n_used=levels[-1][0],
+                     converged=converged, levels=levels)
+
+
 def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:
     x, y = complex(x), complex(y)
     if f.exact_poly is not None:
         # p_n == f at every center, so S(n_j) = poly_sum(f, x, y) identically
         # for every level (and for both tail directions).
-        value = poly_sum(f.exact_poly, x, y)
-        levels = tuple((cfg.n_start << j, value) for j in range(cfg.n_levels))
-        return SumResult(
-            value=value,
-            err_estimate=0.0,
-            n_used=levels[-1][0],
-            converged=True,
-            levels=levels,
-        )
+        return _exact(poly_sum(f.exact_poly, x, y), 0.0, cfg)
     delta = y - x
     if abs(delta.real) <= 2_000_000 and abs(delta - round(delta.real)) <= (
         4.0 * float(np.finfo(float).eps) * max(1.0, abs(x), abs(y))
@@ -301,97 +315,87 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         else:
             pts = (y + np.arange(1, 1 - m, dtype=float)).astype(complex)
             sign = -1.0
-        value = 0j
-        err = 0.0
-        if pts.size:
-            _guard_check(f, pts)
-            vals = np.asarray(f.eval(pts))
-            value = sign * _fsum(vals)
-            err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
-        levels = tuple((cfg.n_start << j, value) for j in range(cfg.n_levels))
-        return SumResult(
-            value=value,
-            err_estimate=err,
-            n_used=levels[-1][0],
-            converged=bool(err <= cfg.tol * max(1.0, abs(value))),
-            levels=levels,
-        )
-    use_poly = f.sigma >= 0
-    weights: list[complex] = []
-    if use_poly:
+        if not pts.size:
+            return _exact(0j, 0.0, cfg)
+        _guard_check(f, pts)
+        vals = np.asarray(f.eval(pts))
+        err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
+        return _exact(sign * _fsum(vals), err, cfg)
+    # One pass over the schedule n_j = n_start * 2^j. The orbit of the whole
+    # schedule is checked against the domain before any evaluation: the stop
+    # below saves evaluations, not the domain, and an orbit that meets a pole
+    # or a cut past the stop still has no limit. Level j evaluates the orbit
+    # points past n_{j-1}: f is added at pos and subtracted at neg.
+    ns = [cfg.n_start << j for j in range(cfg.n_levels)]
+    last = ns[-1]
+    if left:
+        ks = np.arange(0, last, dtype=float)
+        pos, neg = y - ks, (x - 1.0) - ks
+    else:
+        nus = np.arange(1, last + 1, dtype=float)
+        pos, neg = nus + (x - 1.0), nus + y
+    _guard_check(f, pos)
+    _guard_check(f, neg)
+    # The Taylor table: the polynomial part at every center of the schedule,
+    # for the levels run and for the floor's share of the skipped ones.
+    poly = [0j] * len(ns)
+    if f.sigma >= 0:
         weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(int(f.sigma) + 1)]
-
-    def orbit(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Orbit points past n = lo up to n = hi: where f is added, where subtracted."""
-        if left:
-            ks = np.arange(lo, hi, dtype=float)
-            return y - ks, (x - 1.0) - ks
-        nus = np.arange(lo + 1, hi + 1, dtype=float)
-        return nus + (x - 1.0), nus + y
-
-    def poly_part(n: int) -> complex:
-        if not use_poly:
-            return 0j
-        center = -float(n) if left else float(n)
-        return sum(c * w for c, w in zip(_taylor_coeffs(f, center), weights))
-
-    order = min(cfg.extrap_order, cfg.n_levels - 1)
-    rate = f.rate_hint or 1.0
+        poly = [
+            sum(c * w for c, w in zip(_taylor_coeffs(f, -float(n) if left else float(n)), weights))
+            for n in ns
+        ]
+    order, rate = cfg.extrap_order, f.rate_hint
     eps = float(np.finfo(float).eps)
-    last = cfg.n_start << (cfg.n_levels - 1)
     partials: list[complex] = []
     levels: list[tuple[int, complex]] = []
-    walk: list[float] = []
-    done = 0
+    row: list[complex] = []  # the newest row of the Richardson tableau
+    diag: list[complex] = []
     cancel_mag = 0.0
     term_sq = 0.0  # sum of |f|^2 over the points evaluated so far
-    value, err, m_used = None, math.inf, cfg.n_levels
-    for j in range(cfg.n_levels):
-        n = cfg.n_start << j
-        pts_pos, pts_neg = orbit(done, n)
-        _guard_check(f, pts_pos)
-        _guard_check(f, pts_neg)
-        vals_pos = np.asarray(f.eval(pts_pos))
-        vals_neg = np.asarray(f.eval(pts_neg))
-        partials.append(_fsum(vals_pos - vals_neg))
+    value, err, m_used, kept_walk = None, math.inf, cfg.n_levels, math.inf
+    for j, (lo, n) in enumerate(zip([0, *ns], ns)):
+        vals_pos = np.asarray(f.eval(pos[lo:n]))
+        vals_neg = np.asarray(f.eval(neg[lo:n]))
+        try:
+            partials.append(_fsum(vals_pos - vals_neg))
+            tail = _fsum(partials)
+        except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
+            tail = complex(math.nan)
+        if not np.isfinite(tail):
+            raise DomainError(f"the classical tail is not finite at level n = {n}")
         term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
         # Every evaluated term carries about 2 eps * |f| of rounding, and a
         # level's terms add it up like a random walk. Neighbouring deep levels
         # carry alike amounts of that noise, so the tableau's last difference
         # need not see it.
-        walk.append(2.0 * eps * math.sqrt(term_sq))
-        done = n
-        tail = _fsum(partials)
-        p_term = poly_part(n)
-        cancel_mag = max(cancel_mag, abs(tail) + abs(p_term))
-        levels.append((n, tail + p_term))
-        if len(levels) <= order:
+        walk = 2.0 * eps * math.sqrt(term_sq)
+        cancel_mag = max(cancel_mag, abs(tail) + abs(poly[j]))
+        levels.append((n, tail + poly[j]))
+        # diag[j] extrapolates the first j + 1 levels (see the module notes)
+        row = _richardson_row(row, levels[-1][1], order, rate)
+        diag.append(row[-1])
+        if j < order:
             continue
-        # Extrapolate every level prefix and keep the first one with the
-        # smallest claim, a claim being no smaller than the rounding its
-        # levels carry. For cleanly converging families the full tableau
-        # wins; for growing summands (nu * lnGamma and friends) the deepest
-        # levels are dominated by rounding noise, and the extrapolation must
-        # stop at the noise floor instead of folding that noise in.
-        v, e = richardson_extrapolate(levels, order, rate)
-        e = max(e, walk[-1])
-        if math.isfinite(e) and e < err:
-            value, err, m_used = v, e, len(levels)
+        # Keep the first prefix with the smallest claim, a claim being no
+        # smaller than the rounding its levels carry. For cleanly converging
+        # families the full tableau wins; for growing summands (nu * lnGamma
+        # and friends) the deepest levels are dominated by rounding noise,
+        # and the extrapolation must stop at the noise floor instead of
+        # folding that noise in.
+        e = abs(diag[-1] - diag[-2]) if j else math.inf
+        claim = max(e, walk)
+        if math.isfinite(claim) and claim < err:
+            value, err, m_used, kept_walk = diag[-1], claim, j + 1, walk
         # Stop once no deeper prefix can be kept: a deeper prefix claims at
         # least its own walk, the walk never decreases as points are added,
         # and this walk already reaches the best claim, so no deeper claim is
         # strictly smaller. A NaN walk never stops the loop, nor does any
-        # walk before a finite claim: the fallback below uses every level.
-        if value is not None and walk[-1] >= err:
+        # walk before a finite claim: then the whole tableau is the result.
+        if value is not None and walk >= err:
             break
     if value is None:
-        value, err = richardson_extrapolate(levels, order, rate)
-    n_used = levels[m_used - 1][0]
-    if done < last and f.domain_guard is not None:
-        # The stop saves evaluations, not the domain: an orbit that meets a
-        # pole or a cut past the stop still has no limit.
-        for pts in orbit(done, last):
-            _guard_check(f, pts)
+        value, err, kept_walk = diag[-1], e, walk
     if math.isfinite(err):
         # Level agreement cannot certify below the rounding floor of the
         # tail/poly-part cancellation plus the terms' own rounding; an
@@ -401,20 +405,13 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         # subnormal range, where the relative parts underflow. A level the
         # stop skipped counts too: its S(n) = tail + p(n) has reached the
         # value, so its tail is value - p(n).
-        for j in range(len(levels), cfg.n_levels):
-            p_term = poly_part(cfg.n_start << j)
+        for p_term in poly[len(levels):]:
             cancel_mag = max(cancel_mag, abs(value - p_term) + abs(p_term))
-        floor = 8.0 * eps * cancel_mag + walk[m_used - 1] + 2 * last * math.ulp(0.0)
+        floor = 8.0 * eps * cancel_mag + kept_walk + 2 * last * math.ulp(0.0)
         err = max(err, floor)
-    scale = max(1.0, abs(value))
-    converged = bool(math.isfinite(err) and err <= cfg.tol * scale)
-    return SumResult(
-        value=value,
-        err_estimate=err,
-        n_used=n_used,
-        converged=converged,
-        levels=tuple(levels),
-    )
+    converged = bool(math.isfinite(err) and err <= cfg.tol * max(1.0, abs(value)))
+    return SumResult(value=value, err_estimate=err, n_used=ns[m_used - 1],
+                     converged=converged, levels=tuple(levels))
 
 
 def frac_sum_right(
@@ -428,7 +425,8 @@ def frac_sum_right(
     a value.
 
     Raises:
-        DomainError: an orbit point fails the summand's domain guard.
+        DomainError: an orbit point fails the summand's domain guard, or the
+            classical tail of a level is not finite.
     """
     return _run_levels(f, x, y, cfg, left=False)
 

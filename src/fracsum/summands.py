@@ -57,7 +57,6 @@ def recip() -> Summand:
         eval=lambda pts: 1.0 / pts,
         sigma=SIGMA_NEG_INF,
         domain_guard=_nonzero,
-        rate_hint=1.0,
         label="recip",
     )
 
@@ -92,8 +91,7 @@ def power(a: complex) -> Summand:
 
     if is_int and a.real >= 0:
         d = int(a.real)
-        return Summand(eval=ev, sigma=d, deriv=dv, rate_hint=1.0,
-                       exact_poly=Polynomial.monomial(d), label=f"pow:{a}")
+        return Summand(eval=ev, sigma=d, deriv=dv, exact_poly=Polynomial.monomial(d), label=f"pow:{a}")
     if a.real < 0:
         return Summand(
             eval=ev,
@@ -131,7 +129,6 @@ def log_summand() -> Summand:
         sigma=0,
         deriv=dv,
         domain_guard=_off_cut,
-        rate_hint=1.0,
         label="log",
     )
 
@@ -149,12 +146,11 @@ def geom(q: complex) -> Summand:
     if q == 1.0:
         return Summand(eval=lambda pts: np.ones_like(pts), sigma=0,
                        deriv=lambda k, t: 1.0 + 0j if k == 0 else 0j,
-                       rate_hint=1.0, exact_poly=Polynomial.of(1.0), label="geom:1")
+                       exact_poly=Polynomial.of(1.0), label="geom:1")
     lq = cmath.log(q)
     return Summand(
         eval=lambda pts: np.exp(pts * lq),
         sigma=SIGMA_NEG_INF,
-        rate_hint=1.0,
         label=f"geom:{q}",
     )
 
@@ -204,7 +200,7 @@ def binom(c: complex, x: complex) -> Summand:
         out[live] = v
         return out
 
-    return Summand(eval=ev, sigma=SIGMA_NEG_INF, rate_hint=1.0, label=f"binom:{c}:{x}")
+    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"binom:{c}:{x}")
 
 
 def _times_t(g: Callable[[int, complex], complex]) -> Callable[[int, complex], complex]:
@@ -219,7 +215,6 @@ def vlnv() -> Summand:
         sigma=1,
         deriv=_times_t(log_summand().deriv),
         domain_guard=_off_cut,
-        rate_hint=1.0,
         label="vlnv",
     )
 
@@ -361,7 +356,6 @@ def tanh_factor() -> Summand:
     return Summand(
         eval=lambda pts: pts * pts + 1.0,
         sigma=0,
-        rate_hint=1.0,
         label="nu^2+1",
     )
 
@@ -371,7 +365,7 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
     p = Polynomial.of(*coeffs)
     if p.degree == -math.inf:
         return Summand(eval=lambda pts: np.zeros_like(pts), sigma=-1,
-                       rate_hint=1.0, exact_poly=p, label="poly:0")
+                       exact_poly=p, label="poly:0")
     derivs = [p]
     while derivs[-1].coeffs:
         last = derivs[-1]
@@ -388,7 +382,7 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
             acc = acc * pts + c
         return acc
 
-    return Summand(eval=ev, sigma=int(p.degree), deriv=dv, rate_hint=1.0,
+    return Summand(eval=ev, sigma=int(p.degree), deriv=dv,
                    exact_poly=p, label="poly:" + ",".join(str(c) for c in p.coeffs))
 
 
@@ -413,7 +407,7 @@ def sermul_combined(q1: complex, q2: complex) -> Summand:
         tail_f = q1 * (1.0 - np.exp((pts - 1.0) * l1)) / (1.0 - q1)
         return f * g + f * tail_g + g * tail_f
 
-    return Summand(eval=ev, sigma=SIGMA_NEG_INF, rate_hint=1.0, label=f"sermul:{q1}:{q2}")
+    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"sermul:{q1}:{q2}")
 
 
 def gosper_term(b: float) -> Summand:
@@ -432,7 +426,6 @@ def gosper_term(b: float) -> Summand:
         eval=ev,
         sigma=SIGMA_NEG_INF,
         domain_guard=_nonzero,
-        rate_hint=1.0,
         label=f"gosper:{b}",
     )
 

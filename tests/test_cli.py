@@ -78,6 +78,34 @@ def test_non_finite_literal_exits_one(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--f", "geom:q=0.5", "--from", "1", "--to", "0.5"],
+    ["--f", "binom:c=2.5:x=0.3", "--from", "0.3+0.2i", "--to", "1.7"],
+    ["--f", "geom:q=0.5", "--from", "0.3+0.2i", "--to", "1.7"],
+])
+def test_overflowing_left_sum_exits_one(capsys, argv):
+    rc, out, err = run(capsys, ["sum", *argv, "--direction", "left"])
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error:")
+
+
+def test_overflowing_product_prints_inf(capsys):
+    # Gamma(201.5) overflows: the engine returns inf, not converged
+    rc, out, _ = run(capsys, ["prod", "--f", "id", "--from", "1", "--to", "200.5"])
+    assert rc == 0
+    assert value_line(out) == "value inf"
+    assert "converged false" in out
+
+
+def test_format_complex_non_finite():
+    assert format_complex(math.inf) == "inf"
+    assert format_complex(-math.inf) == "-inf"
+    assert format_complex(math.nan) == "nan"
+    assert format_complex(complex(1, math.inf)) == "1+infi"
+
+
 def test_bad_flag_exits_one(capsys):
     rc, _, err = run(capsys, ["sum", "--f", "recip", "--no-such-flag", "1"])
     assert rc == 1

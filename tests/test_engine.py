@@ -98,7 +98,7 @@ def lincomb(a: complex, f: Summand, b: complex, g: Summand) -> Summand:
         sigma=sig,
         deriv=d,
         domain_guard=gd,
-        rate_hint=f.rate_hint or g.rate_hint,
+        rate_hint=f.rate_hint,
     )
 
 
@@ -247,6 +247,32 @@ def test_early_stop_keeps_value_and_prefix(f, x, y, left, value, n_used, converg
         assert len(res.levels) < DEFAULT_CONFIG.n_levels
 
 
+# err_estimate of each EARLY_STOP_CASES entry, in order, when running every level
+EARLY_STOP_ERRS = [
+    1.8338049456140066e-10,
+    1.0368356464035783e-09,
+    1.0094427190595438e-06,
+    3.983015396613703e-15,
+    2.0973090720320198e-10,
+    1.6140422332000526e-12,
+    3.6016020234228024e-15,
+    8.95545251106078e-15,
+]
+
+
+@pytest.mark.parametrize("case, err", enumerate(EARLY_STOP_ERRS))
+def test_early_stop_keeps_err_and_kept_extrapolant(case, err):
+    f, x, y, left = EARLY_STOP_CASES[case][:4]
+    res = (frac_sum_left if left else frac_sum_right)(f, x, y)
+    assert res.err_estimate == err
+    # the engine grows one tableau a row per level; its diagonal entry for the
+    # kept prefix must be what extrapolating that prefix alone gives (for
+    # power(0.5) the kept prefix is 6 of the 7 levels run)
+    m = [n for n, _ in res.levels].index(res.n_used) + 1
+    order = DEFAULT_CONFIG.extrap_order
+    assert res.value == richardson_extrapolate(res.levels[:m], order, f.rate_hint)[0]
+
+
 def test_early_stop_saves_orbit_points():
     f = lnfact()
     points = []
@@ -261,11 +287,35 @@ def test_early_stop_saves_orbit_points():
 
 
 def test_domain_error_past_the_stop_is_still_raised():
-    # the left geom(2) sum over [0.3, 1.45] stops after the level n = 1024
-    f = replace(geom(2.0), domain_guard=lambda pts: pts.real > -1500.0)
+    # the left geom(2) sum over [0.3, 1.45] stops after the level n = 1024,
+    # and the guard fails only at n > 1500; the whole schedule's orbit is
+    # checked before any term is evaluated
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return geom(2.0).eval(pts)
+
+    f = replace(geom(2.0), eval=counted, domain_guard=lambda pts: pts.real > -1500.0)
     assert len(frac_sum_left(geom(2.0), 0.3, 1.45).levels) < DEFAULT_CONFIG.n_levels
     with pytest.raises(DomainError):
         frac_sum_left(f, 0.3, 1.45)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "f, x, y",
+    [
+        (geom(0.5), 1.0, 0.5),
+        (binom(2.5, 0.3), 0.3 + 0.2j, 1.7),
+        (geom(0.5), 0.3 + 0.2j, 1.7),
+    ],
+)
+def test_overflowing_left_sum_is_a_domain_error(f, x, y):
+    # these tails grow toward -infinity until a level partial overflows: to a
+    # NaN, past math.fsum's range, or to inf - inf inside it
+    with pytest.raises(DomainError, match="level n = "):
+        frac_sum_left(f, x, y)
 
 
 def _fsum_cases(n):
@@ -623,5 +673,7 @@ def test_summand_validation():
         Summand(eval=lambda pts: pts, sigma=0.5)
     with pytest.raises(ParameterError):
         Summand(eval=lambda pts: pts, rate_hint=0.0)
+    with pytest.raises(ParameterError):
+        Summand(eval=lambda pts: pts, rate_hint=math.nan)
     with pytest.raises(ParameterError):
         Summand(eval=lambda pts: pts, sigma=1)
