@@ -292,6 +292,9 @@ def _exact(value: complex, err: float, cfg: EngineConfig) -> SumResult:
                      converged=converged, levels=levels)
 
 
+# Overflow and inf - inf in the terms end as a DomainError or an inf value
+# below; numpy's warnings would only repeat them on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:
     x, y = complex(x), complex(y)
     if f.exact_poly is not None:
@@ -456,6 +459,7 @@ def _checked_log(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.log(vals)
 
 
+@np.errstate(over="ignore")  # an overflowing product is inf, not converged
 def frac_product(
     f: Summand, x: complex, y: complex, cfg: EngineConfig = DEFAULT_CONFIG,
     *, left: bool = False,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import SIGMA_NEG_INF, Summand
-from .errors import DomainError, ParameterError, SummandSpecError
+from .errors import DomainError, SummandSpecError
 from .polycore import Polynomial
 from .specialfn import log_gamma, polygamma
 
@@ -82,12 +82,9 @@ def power(a: complex) -> Summand:
         return np.power(pts.astype(complex), a)
 
     def dv(k: int, t: complex) -> complex:
-        fall = 1.0 + 0j
-        for i in range(k):
-            fall *= a - i
-        if fall == 0:
-            return 0j
-        return fall * cmath.exp((a - k) * cmath.log(t))
+        # the falling factorial a (a-1) ... (a-k+1)
+        fall = math.prod((a - i for i in range(k)), start=1.0 + 0j)
+        return fall * cmath.exp((a - k) * cmath.log(t)) if fall else 0j
 
     if is_int and a.real >= 0:
         d = int(a.real)
@@ -100,34 +97,54 @@ def power(a: complex) -> Summand:
             rate_hint=-a.real,
             label=f"pow:{a}",
         )
-    if is_real:
-        sig = math.floor(a.real) + 1
-        rate = sig + 1 - a.real
-    else:
-        sig = math.floor(a.real) + 3
-        rate = sig + 1 - a.real
+    sig = math.floor(a.real) + (1 if is_real else 3)
     return Summand(
         eval=ev,
         sigma=sig,
         deriv=dv,
         domain_guard=_off_cut,
-        rate_hint=rate,
+        rate_hint=sig + 1 - a.real,
         label=f"pow:{a}",
     )
 
 
+# ---------------------------------------------------------------------------
+# The derivative calculus. A family's Taylor data is its deriv(k, t) = d^k f
+# at t for every order k, built from a few base ladders by the rules below.
+Deriv = Callable[[int, complex], complex]
+
+
+def _d_log(k: int, t: complex) -> complex:
+    """d^k ln t (principal branch)."""
+    return cmath.log(t) if k == 0 else (-1.0) ** (k - 1) * math.factorial(k - 1) * t ** (-k)
+
+
+def _d_ln_gamma(k: int, t: complex) -> complex:
+    """d^k ln Gamma(t) = psi^(k-1)(t)."""
+    return log_gamma(t) if k == 0 else polygamma(k - 1, t)
+
+
+def _affine(g: Deriv, a: float, b: complex) -> Deriv:
+    """The derivatives of g(a t + b): d^k = a^k g^(k)(a t + b)."""
+    return lambda k, t: a**k * g(k, a * t + b)
+
+
+def _times_t(g: Deriv) -> Deriv:
+    """The derivatives of t g(t) from those of g: d^k (t g) = k g^(k-1) + t g^(k)."""
+    return lambda k, t: t * g(0, t) if k == 0 else k * g(k - 1, t) + t * g(k, t)
+
+
+def _leibniz(f: Deriv, g: Deriv) -> Deriv:
+    """The derivatives of f g: d^k (f g) = sum_j C(k, j) f^(j) g^(k-j)."""
+    return lambda k, t: sum(math.comb(k, j) * f(j, t) * g(k - j, t) for j in range(k + 1))
+
+
 def log_summand() -> Summand:
     """f(nu) = ln nu (principal); constant approximating polynomial suffices."""
-
-    def dv(k: int, t: complex) -> complex:
-        if k == 0:
-            return cmath.log(t)
-        return (-1.0) ** (k - 1) * math.factorial(k - 1) * t ** (-k)
-
     return Summand(
         eval=np.log,
         sigma=0,
-        deriv=dv,
+        deriv=_d_log,
         domain_guard=_off_cut,
         label="log",
     )
@@ -144,9 +161,7 @@ def geom(q: complex) -> Summand:
     if q.real <= 0.0 and abs(q.imag) <= 1e-12 * (1.0 + abs(q)):
         raise SummandSpecError(f"geom ratio {q} lies on the closed negative real axis")
     if q == 1.0:
-        return Summand(eval=lambda pts: np.ones_like(pts), sigma=0,
-                       deriv=lambda k, t: 1.0 + 0j if k == 0 else 0j,
-                       exact_poly=Polynomial.of(1.0), label="geom:1")
+        return replace(poly_summand((1.0,)), label="geom:1")
     lq = cmath.log(q)
     return Summand(
         eval=lambda pts: np.exp(pts * lq),
@@ -203,42 +218,34 @@ def binom(c: complex, x: complex) -> Summand:
     return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"binom:{c}:{x}")
 
 
-def _times_t(g: Callable[[int, complex], complex]) -> Callable[[int, complex], complex]:
-    """The derivatives of t g(t) from those of g: d^k (t g) = k g^(k-1) + t g^(k)."""
-    return lambda k, t: t * g(0, t) if k == 0 else k * g(k - 1, t) + t * g(k, t)
-
-
 def vlnv() -> Summand:
     """f(nu) = nu ln nu; sigma = 1 (the ln-slope term must be subtracted)."""
     return Summand(
         eval=lambda pts: pts * np.log(pts),
         sigma=1,
-        deriv=_times_t(log_summand().deriv),
+        deriv=_times_t(_d_log),
         domain_guard=_off_cut,
         label="vlnv",
     )
 
 
-def lnfact(shift: float = 1.0) -> Summand:
-    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!).
-
-    d^k f = psi^(k-1)(nu + shift); growth ~ nu ln nu, handled at sigma = 3
-    where the remainder decays like n^{-3}.
-    """
-
-    def dv(k: int, t: complex) -> complex:
-        if k == 0:
-            return log_gamma(t + shift)
-        return polygamma(k - 1, t + shift)
-
+def _ln_gamma_of(a: float, b: float, label: str) -> Summand:
+    """f(nu) = ln Gamma(a nu + b), with d^k f = a^k psi^(k-1)(a nu + b); it
+    grows like nu ln nu, and sigma = 3 leaves a remainder decaying like n^{-3}."""
     return Summand(
-        eval=lambda pts: log_gamma(pts + shift),
+        eval=lambda pts: log_gamma(a * pts + b),
         sigma=3,
-        deriv=dv,
-        domain_guard=lambda pts: _off_cut(pts + shift),
+        deriv=_affine(_d_ln_gamma, a, b),
+        domain_guard=lambda pts: _off_cut(a * pts + b),
         rate_hint=3.0,
-        label="lnfact" if shift == 1.0 else f"lngamma+{shift}",
+        label=label,
     )
+
+
+def lnfact(shift: float = 1.0) -> Summand:
+    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!), derivatives
+    psi^(k-1)(nu + shift) at every order k."""
+    return _ln_gamma_of(1.0, shift, "lnfact" if shift == 1.0 else f"lngamma+{shift}")
 
 
 def ln_gamma_summand() -> Summand:
@@ -247,35 +254,17 @@ def ln_gamma_summand() -> Summand:
 
 
 def ln_gamma_2nu() -> Summand:
-    """f(nu) = ln Gamma(2 nu + 1), derivatives 2^k psi^(k-1)(2 nu + 1)."""
-
-    def dv(k: int, t: complex) -> complex:
-        if k == 0:
-            return log_gamma(2.0 * t + 1.0)
-        return 2.0**k * polygamma(k - 1, 2.0 * t + 1.0)
-
-    return Summand(
-        eval=lambda pts: log_gamma(2.0 * pts + 1.0),
-        sigma=3,
-        deriv=dv,
-        domain_guard=lambda pts: _off_cut(2.0 * pts + 1.0),
-        rate_hint=3.0,
-        label="lngamma(2nu+1)",
-    )
-
-
-def _leibniz(f: Callable, g: Callable, k: int, t: complex) -> complex:
-    """d^k (f g) at t, from the derivative callables of f and g."""
-    return sum(math.comb(k, j) * f(j, t) * g(k - j, t) for j in range(k + 1))
+    """f(nu) = ln Gamma(2 nu + 1), derivatives 2^k psi^(k-1)(2 nu + 1) at
+    every order k."""
+    return _ln_gamma_of(2.0, 1.0, "lngamma(2nu+1)")
 
 
 def lognu_lnfact() -> Summand:
     """f(nu) = ln nu * ln Gamma(nu + 1)."""
-    u, G = log_summand().deriv, lnfact().deriv
     return Summand(
         eval=lambda pts: np.log(pts) * log_gamma(pts + 1.0),
         sigma=3,
-        deriv=lambda k, t: _leibniz(u, G, k, t),
+        deriv=_leibniz(_d_log, lnfact().deriv),
         domain_guard=_off_cut,
         rate_hint=3.0,
         label="lognu*lnfact",
@@ -299,7 +288,11 @@ def bd_term(x: complex) -> Summand:
     x = complex(x)
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        return 2.0 * pts * np.log1p(x / pts)
+        # numpy's complex log1p is log(1 + z), which loses the digits of a small
+        # z; Goldberg's form log(w) z / (w - 1), w = 1 + z, keeps them (z if w == 1)
+        z = x / pts
+        w = 1.0 + z
+        return 2.0 * pts * np.divide(np.log(w) * z, w - 1.0, out=z.copy(), where=w != 1.0)
 
     return Summand(
         eval=ev,
@@ -316,30 +309,20 @@ def zpp_term(x: complex) -> Summand:
     Grows like n ln^2 n; sigma = 3 leaves an O(ln n / n^4)-scale remainder
     over the catalog's [1, -1/2] window (the quadratic window weight
     vanishes there), so the raw levels are already at ~1e-14 by n ~ 1000.
+    Its derivatives, at every order, are those of t * 2 L(t)^2, L = ln(2t + x).
     """
     x = complex(x)
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        L = np.log(2.0 * pts + x)
-        return 2.0 * pts * L * L
+        u = np.log(2.0 * pts + x)
+        return 2.0 * pts * u * u
 
-    def dv(k: int, t: complex) -> complex:
-        s = 2.0 * t + x
-        u = cmath.log(s)
-        if k == 0:
-            return 2.0 * t * u * u
-        if k == 1:
-            return 2.0 * u * u + 8.0 * t * u / s
-        if k == 2:
-            return 16.0 * u / s + 16.0 * t * (1.0 - u) / (s * s)
-        if k == 3:
-            return 48.0 * (1.0 - u) / (s * s) - 32.0 * t * (3.0 - 2.0 * u) / (s * s * s)
-        raise ParameterError(f"derivative order {k} not implemented for zpp_term")
-
+    L = _affine(_d_log, 2.0, x)
+    LL = _leibniz(L, L)
     return Summand(
         eval=ev,
         sigma=3,
-        deriv=dv,
+        deriv=_times_t(lambda k, t: 2.0 * LL(k, t)),
         domain_guard=lambda pts: _off_cut(2.0 * pts + x),
         rate_hint=4.0,
         label=f"zpp:{x}",
@@ -366,15 +349,10 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
     if p.degree == -math.inf:
         return Summand(eval=lambda pts: np.zeros_like(pts), sigma=-1,
                        exact_poly=p, label="poly:0")
-    derivs = [p]
-    while derivs[-1].coeffs:
-        last = derivs[-1]
-        derivs.append(
-            Polynomial.of(*[k * c for k, c in enumerate(last.coeffs)][1:])
-        )
 
     def dv(k: int, t: complex) -> complex:
-        return derivs[k](t) if k < len(derivs) else 0j
+        # the Taylor coefficients of p at t are the coefficients of p(z + t)
+        return p.shift(t).coeffs[k] * math.factorial(k) if k < len(p.coeffs) else 0j
 
     def ev(pts: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(pts)

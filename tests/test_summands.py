@@ -45,6 +45,7 @@ DERIV_FAMILIES = [
     (summands.lognu_lnfact(), 7.0, (1, 2, 3)),
     (summands.nu_lnfact(), 7.0, (1, 2, 3)),
     (summands.zpp_term(0.5), 6.0, (1, 2, 3)),
+    (summands.poly_summand((1.0, -2.0, 0.5j, 3.0)), 1.5, (1, 2, 3)),
     (summands.tanh_factor(), 3.0, ()),
 ]
 
@@ -57,6 +58,9 @@ def test_derivatives_match_finite_differences(f, center, orders):
         want = _fd(f.eval, center, k)
         got = f.deriv(k, center)
         assert abs(got - want) <= 5e-5 * (1 + abs(want)), (f.label, k)
+    if f.exact_poly is not None:
+        # a polynomial's derivatives vanish past its degree
+        assert all(f.deriv(k, center) == 0 for k in range(len(f.exact_poly.coeffs), 9))
 
 
 @pytest.mark.parametrize("f,ref", [
@@ -65,7 +69,8 @@ def test_derivatives_match_finite_differences(f, center, orders):
     (summands.lognu_lnfact(), lambda mp, t: mp.log(t) * mp.loggamma(t + 1)),
     (summands.nu_lnfact(), lambda mp, t: t * mp.loggamma(t + 1)),
     (summands.vlnv(), lambda mp, t: t * mp.log(t)),
-], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv"])
+    (summands.zpp_term(0.5), lambda mp, t: 2 * t * mp.log(2 * t + 0.5) ** 2),
+], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv", "zpp_term"])
 def test_log_gamma_family_derivatives_match_mpmath(f, ref):
     # every order a higher Taylor degree would ask for, not only k <= 3
     mpmath = pytest.importorskip("mpmath")
@@ -152,6 +157,18 @@ def test_bd_term_uses_log1p_form():
     v = f.eval(np.array([10.0 + 0j]))[0]
     assert v == pytest.approx(2 * 10.0 * math.log1p(1.0 / 10.0), rel=1e-14)
     assert f.sigma == 0
+
+
+@pytest.mark.parametrize("x", [0.25, 1.7, 0.3 + 0.4j, -0.2 + 1.1j])
+def test_bd_term_matches_mpmath_on_the_orbit(x):
+    # x / nu is small along the orbit, where log(1 + x/nu) loses its digits
+    mpmath = pytest.importorskip("mpmath")
+    pts = np.concatenate([2.0 ** np.arange(23) + 0.37, 2.0 ** np.arange(22) * 1.5 - 0.25])
+    got = summands.bd_term(x).eval(pts.astype(complex))
+    with mpmath.workdps(30):
+        for p, v in zip(pts, got):
+            want = complex(2 * p * mpmath.log(1 + mpmath.mpc(x) / p))
+            assert abs(v - want) <= 4 * np.finfo(float).eps * abs(want), (x, p)
 
 
 def test_gosper_term_value():
