@@ -72,8 +72,9 @@ class Summand:
     eval must accept a complex numpy array and return the values elementwise.
     sigma is the asymptotic degree: the Taylor polynomial of f of this degree
     at the tail center makes f - p_n vanish along the tail; SIGMA_NEG_INF (or
-    any sigma <= -1) means p_n = 0. deriv(order, point) returns d^order f at
-    a point; it is required for sigma >= 1, and without it a sigma = 0
+    any sigma <= -1) means p_n = 0. deriv(order, points) returns d^order f
+    elementwise over a complex numpy array (all tail centers in one call), or
+    a constant; it is required for sigma >= 1, and without it a sigma = 0
     summand takes its value from eval. domain_guard(points) -> bool array
     marks points where f is defined. rate_hint is the expected leading error
     decay exponent p in n^{-p} (1 unless stated), used by Richardson
@@ -91,7 +92,7 @@ class Summand:
 
     eval: Callable[[np.ndarray], np.ndarray]
     sigma: float = SIGMA_NEG_INF
-    deriv: Callable[[int, complex], complex] | None = None
+    deriv: Callable[[int, np.ndarray], np.ndarray | complex] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
     rate_hint: float = 1.0
     exact_poly: Polynomial | None = None
@@ -210,12 +211,13 @@ def _richardson_row(prev: list[complex], v: complex, order: int, rate: float) ->
     return row
 
 
-def _taylor_coeffs(f: Summand, center: complex) -> list[complex]:
-    """[f^(k)(center)/k! for k <= sigma]; without deriv sigma is 0 and the
-    one coefficient is f(center)."""
+def _taylor_table(f: Summand, centres: np.ndarray) -> np.ndarray:
+    """Rows k <= sigma of f^(k)(c)/k!, a column per centre c, from one deriv
+    call per order; without deriv sigma is 0 and the row is f(centres)."""
     if f.deriv is None:
-        return [complex(f.eval(np.array([center], dtype=complex))[0])]
-    return [complex(f.deriv(k, center)) / math.factorial(k) for k in range(int(f.sigma) + 1)]
+        return np.asarray(f.eval(centres), dtype=complex)[None]
+    return np.array([np.full(centres.shape, f.deriv(k, centres), dtype=complex) / math.factorial(k)
+                     for k in range(int(f.sigma) + 1)])
 
 
 def approx_poly(f: Summand, n: complex) -> Polynomial:
@@ -230,7 +232,7 @@ def approx_poly(f: Summand, n: complex) -> Polynomial:
     """
     if f.sigma < 0:
         raise ParameterError("approx_poly needs sigma >= 0")
-    centered = Polynomial.of(*_taylor_coeffs(f, n))
+    centered = Polynomial.of(*_taylor_table(f, np.array([n], dtype=complex))[:, 0])
     return centered.shift(-n)
 
 
@@ -344,10 +346,9 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     poly = [0j] * len(ns)
     if f.sigma >= 0:
         weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(int(f.sigma) + 1)]
-        poly = [
-            sum(c * w for c, w in zip(_taylor_coeffs(f, -float(n) if left else float(n)), weights))
-            for n in ns
-        ]
+        centres = np.array(ns, dtype=float)  # -n as a real: its imaginary part is +0
+        table = _taylor_table(f, (-centres if left else centres).astype(complex))
+        poly = [sum(c * w for c, w in zip(col, weights)) for col in table.T.tolist()]
     order, rate = cfg.extrap_order, f.rate_hint
     eps = float(np.finfo(float).eps)
     partials: list[complex] = []

@@ -81,10 +81,10 @@ def power(a: complex) -> Summand:
     def ev(pts: np.ndarray) -> np.ndarray:
         return np.power(pts.astype(complex), a)
 
-    def dv(k: int, t: complex) -> complex:
+    def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
         # the falling factorial a (a-1) ... (a-k+1)
         fall = math.prod((a - i for i in range(k)), start=1.0 + 0j)
-        return fall * cmath.exp((a - k) * cmath.log(t)) if fall else 0j
+        return fall * np.exp((a - k) * np.log(t)) if fall else 0j
 
     if is_int and a.real >= 0:
         d = int(a.real)
@@ -110,16 +110,17 @@ def power(a: complex) -> Summand:
 
 # ---------------------------------------------------------------------------
 # The derivative calculus. A family's Taylor data is its deriv(k, t) = d^k f
-# at t for every order k, built from a few base ladders by the rules below.
-Deriv = Callable[[int, complex], complex]
+# at t for every order k, elementwise over a complex array t, built from a
+# few base ladders by the rules below.
+Deriv = Callable[[int, np.ndarray], np.ndarray]
 
 
-def _d_log(k: int, t: complex) -> complex:
+def _d_log(k: int, t: np.ndarray) -> np.ndarray:
     """d^k ln t (principal branch)."""
-    return cmath.log(t) if k == 0 else (-1.0) ** (k - 1) * math.factorial(k - 1) * t ** (-k)
+    return np.log(t) if k == 0 else (-1.0) ** (k - 1) * math.factorial(k - 1) * t ** (-k)
 
 
-def _d_ln_gamma(k: int, t: complex) -> complex:
+def _d_ln_gamma(k: int, t: np.ndarray) -> np.ndarray:
     """d^k ln Gamma(t) = psi^(k-1)(t)."""
     return log_gamma(t) if k == 0 else polygamma(k - 1, t)
 
@@ -204,6 +205,9 @@ def binom(c: complex, x: complex) -> Summand:
         # only the nonzero coefficients are evaluated: on a sum over [0, c]
         # every point of the upper orbit w = nu + c is a zero
         live = ~near_nonpos_int(a)
+        out = np.zeros(pts.shape, dtype=complex)
+        if not live.any():
+            return out
         w, a = pts[live], a[live]
         refl = a.real < 0.5
         # 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi on the reflection branch
@@ -211,7 +215,6 @@ def binom(c: complex, x: complex) -> Summand:
         lc = lgc1 - log_gamma(w + 1.0) + np.where(refl, lg_a, -lg_a)
         v = np.exp(lc + w * lx)
         v[refl] *= np.sin(math.pi * a[refl]) / math.pi
-        out = np.zeros(pts.shape, dtype=complex)
         out[live] = v
         return out
 
@@ -350,17 +353,13 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
         return Summand(eval=lambda pts: np.zeros_like(pts), sigma=-1,
                        exact_poly=p, label="poly:0")
 
-    def dv(k: int, t: complex) -> complex:
-        # the Taylor coefficients of p at t are the coefficients of p(z + t)
-        return p.shift(t).coeffs[k] * math.factorial(k) if k < len(p.coeffs) else 0j
+    def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
+        # p^(k)(t) = k! sum_{i>=k} C(i, k) c_i t^(i-k)
+        dk = Polynomial.of(*(math.comb(i, k) * c for i, c in enumerate(p.coeffs[k:], k)))
+        return math.factorial(k) * dk(t)
 
-    def ev(pts: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(pts)
-        for c in reversed(p.coeffs):
-            acc = acc * pts + c
-        return acc
-
-    return Summand(eval=ev, sigma=int(p.degree), deriv=dv,
+    # a Polynomial evaluates elementwise on arrays
+    return Summand(eval=p, sigma=int(p.degree), deriv=dv,
                    exact_poly=p, label="poly:" + ",".join(str(c) for c in p.coeffs))
 
 

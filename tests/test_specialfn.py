@@ -77,11 +77,13 @@ def test_log_gamma_pole_rejected():
 @pytest.mark.filterwarnings("error")
 def test_log_gamma_array_matches_mpmath_and_scalar_calls():
     # Re z < 1/2 in both half-planes (the reflection branch), points within
-    # 1e-9 of the real axis, and |z| up to 2e4, where the ln Gamma(2 nu + 1)
-    # orbit reaches at n = 8192. Warnings are errors, so a masked branch that
-    # computes inf or nan on the points it discards fails here.
+    # 1e-9 of the real axis, both sides of the recurrence lift to Re z >= 6
+    # (and of polygamma's lift to 16), and |z| up to 2e4, where the
+    # ln Gamma(2 nu + 1) orbit reaches at n = 8192. Warnings are errors, so a
+    # masked branch that computes inf or nan on the points it discards fails here.
     mpmath = pytest.importorskip("mpmath")
-    re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 1.0, 3.7, 40.0, 1e3, 1.6e4, 2e4])
+    re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 1.0, 3.7, 5.9, 6.0, 6.1,
+                   15.9, 16.0, 16.1, 40.0, 1e3, 1.6e4, 2e4])
     im = np.array([-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0])
     z = re[:, None] + 1j * im[None, :]
     assert log_gamma(z).shape == z.shape
@@ -151,6 +153,26 @@ def test_polygamma_at_tail_centers(z):
         want = complex(mpmath.polygamma(m, z))
         assert abs(polygamma(m, z) - want) <= tol * abs(want), m
     assert polygamma(0, z) == digamma(z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_polygamma_array_matches_mpmath_and_scalar_calls():
+    # both sides of the recurrence lift to Re z >= 16, and for m = 0 the
+    # reflection at Re z < 1/2, in both half-planes and next to the real axis
+    mpmath = pytest.importorskip("mpmath")
+    re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 3.7, 15.5, 15.9, 16.0, 16.1, 40.0, 1e3])
+    im = np.array([-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0])
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+    for m in range(4):
+        got = polygamma(m, z)
+        assert got.shape == z.shape
+        for w, g in zip(z, got):
+            assert g == polygamma(m, complex(w))
+            want = complex(mpmath.polygamma(m, complex(w)))
+            assert abs(g - want) <= 1e-14 * abs(want), (m, w)
+    assert type(polygamma(1, 2.5)) is complex
+    with pytest.raises(PoleError):
+        polygamma(2, np.array([1.5, 2.0 + 1j, -3.0, 4.0]))
 
 
 def test_hurwitz_zeta_basel():

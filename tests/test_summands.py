@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracsum import summands
-from fracsum.engine import SIGMA_NEG_INF
+from fracsum.engine import DEFAULT_CONFIG, SIGMA_NEG_INF
 from fracsum.errors import DomainError, SummandSpecError
 
 
@@ -61,6 +61,13 @@ def test_derivatives_match_finite_differences(f, center, orders):
     if f.exact_poly is not None:
         # a polynomial's derivatives vanish past its degree
         assert all(f.deriv(k, center) == 0 for k in range(len(f.exact_poly.coeffs), 9))
+    # the engine asks for each order once, at all the tail centers of the
+    # schedule together; that must be the scalar calls, elementwise
+    centers = np.array([DEFAULT_CONFIG.n_start << j for j in range(DEFAULT_CONFIG.n_levels)],
+                       dtype=complex)
+    for k in range(int(f.sigma) + 1 if orders else 0):
+        got = np.broadcast_to(f.deriv(k, centers), centers.shape)
+        assert [complex(g) for g in got] == [complex(f.deriv(k, complex(c))) for c in centers], k
 
 
 @pytest.mark.parametrize("f,ref", [
