@@ -15,8 +15,8 @@ orbit of the whole schedule is checked against the summand's domain before
 any term is evaluated, the polynomial part of every level is computed once,
 and each level run adds one row to a single Richardson tableau. The loop
 stops at the first level after which no deeper level prefix could be the
-one kept. Fractional products are exp of the fractional sum of the
-principal log of the factor.
+one kept. A fractional product is exp of the fractional sum of ln g, the
+logarithm of its factor g; its summand is that logarithm.
 
 Numerical notes that matter here:
 
@@ -36,12 +36,12 @@ Numerical notes that matter here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BranchCutError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .polycore import Polynomial, poly_sum
 
 __all__ = [
@@ -76,7 +76,8 @@ class Summand:
     elementwise over a complex numpy array (all tail centers in one call), or
     a constant; it is required for sigma >= 1, and without it a sigma = 0
     summand takes its value from eval. domain_guard(points) -> bool array
-    marks points where f is defined. rate_hint is the expected leading error
+    marks points where f is defined; a guard may instead raise a DomainError
+    subclass to name the fault. rate_hint is the expected leading error
     decay exponent p in n^{-p} (1 unless stated), used by Richardson
     extrapolation.
 
@@ -86,8 +87,7 @@ class Summand:
     an exactly-cancelling tail through floats (which only injects rounding
     noise the mathematics does not have).
 
-    For products, eval returns the factor f itself while sigma/deriv
-    describe nu -> ln f(nu); see frac_product.
+    A product's summand is the logarithm of its factor; see frac_product.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -447,41 +447,22 @@ def frac_sum_left(
     return _run_levels(f, x, y, cfg, left=True)
 
 
-def _checked_log(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    mag = np.abs(vals)
-    on_cut = (vals.real <= 0.0) & (np.abs(vals.imag) <= 1e-12 * (1.0 + mag))
-    if on_cut.any():
-        i = int(np.argmax(on_cut))
-        raise BranchCutError(
-            f"factor value {complex(vals[i])} at point {complex(pts[i])} lies on the "
-            "closed negative real axis; principal log undefined",
-            complex(pts[i]),
-        )
-    return np.log(vals)
-
-
 @np.errstate(over="ignore")  # an overflowing product is inf, not converged
 def frac_product(
     f: Summand, x: complex, y: complex, cfg: EngineConfig = DEFAULT_CONFIG,
     *, left: bool = False,
 ) -> SumResult:
-    """Fractional product over [x, y]: exp of the fractional sum of ln f.
+    """Fractional product over [x, y] of a factor g: exp of the fractional
+    sum of ln g.
 
-    f.eval returns the factor values; f.sigma/deriv describe the logarithm
-    nu -> ln f(nu) (that is what the approximating polynomials act on). Any
-    factor value on the closed negative real axis is a hard branch error.
-    left selects the left-tail sum of the logarithm.
+    f is the summand of ln g: its eval, sigma, deriv and domain_guard all
+    describe nu -> ln g(nu). The factor families' guards raise BranchCutError
+    where g meets the cut of the principal log. left selects the left-tail sum.
 
     Raises:
-        BranchCutError: some factor value lies on (-inf, 0].
-        DomainError: as frac_sum_right.
+        DomainError: as frac_sum_right, BranchCutError from a factor's guard.
     """
-
-    def log_eval(pts: np.ndarray) -> np.ndarray:
-        return _checked_log(np.asarray(f.eval(pts)), pts)
-
-    logf = replace(f, eval=log_eval)
-    res = (frac_sum_left if left else frac_sum_right)(logf, x, y, cfg)
+    res = (frac_sum_left if left else frac_sum_right)(f, x, y, cfg)
     value = complex(np.exp(res.value))
     return SumResult(
         value=value,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import SIGMA_NEG_INF, Summand
-from .errors import DomainError, SummandSpecError
+from .errors import BranchCutError, DomainError, SummandSpecError
 from .polycore import Polynomial
 from .specialfn import log_gamma, polygamma
 
@@ -44,7 +44,10 @@ __all__ = [
 
 def _off_cut(pts: np.ndarray) -> np.ndarray:
     """True where the principal log is defined and continuous."""
-    return (pts.real > 0.0) | (np.abs(pts.imag) > 1e-12 * (1.0 + np.abs(pts)))
+    ok = pts.real > 0.0
+    if not ok.all():  # the right half plane holds most orbits whole
+        ok |= np.abs(pts.imag) > 1e-12 * (1.0 + np.abs(pts))
+    return ok
 
 
 def _nonzero(pts: np.ndarray) -> np.ndarray:
@@ -332,16 +335,32 @@ def zpp_term(x: complex) -> Summand:
     )
 
 
+def _cut_guard(arg: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The guard of a product's summand ln g: BranchCutError at the first point
+    where the argument of the principal log, arg(pts), is on its cut."""
+
+    def guard(pts: np.ndarray) -> np.ndarray:
+        ok = _off_cut(arg(pts))
+        if not ok.all():
+            bad = complex(pts[~ok][0])
+            raise BranchCutError(f"ln {arg(bad)} at orbit point {bad}: the argument lies "
+                                 "on the closed negative real axis, the cut of the principal log", bad)
+        return ok
+
+    return guard
+
+
 def identity_factor() -> Summand:
-    """Factor f(nu) = nu for products; sigma/deriv/rate are those of ln nu."""
-    return replace(log_summand(), eval=lambda pts: pts, domain_guard=_nonzero, label="id")
+    """The product summand of the factor nu: ln nu."""
+    return replace(log_summand(), domain_guard=_cut_guard(lambda pts: pts), label="id")
 
 
 def tanh_factor() -> Summand:
-    """Factor f(nu) = nu^2 + 1 for products; ln f ~ 2 ln nu, sigma = 0."""
+    """The product summand of the factor nu^2 + 1: ln(nu^2 + 1) ~ 2 ln nu, sigma = 0."""
     return Summand(
-        eval=lambda pts: pts * pts + 1.0,
+        eval=lambda pts: np.log(pts * pts + 1.0),
         sigma=0,
+        domain_guard=_cut_guard(lambda pts: pts * pts + 1.0),
         label="nu^2+1",
     )
 
@@ -509,29 +528,29 @@ def from_spec(spec: str) -> Summand:
 
 
 def factor_from_spec(spec: str) -> Summand:
-    """Build a product factor from a CLI family spec (see frac_product).
+    """Build the product summand ln g of a factor g from a CLI family spec
+    (see frac_product).
 
-    Only ``id``, ``pow:a=...`` and ``geom:q=...`` carry the metadata of the
-    factor's logarithm; eval returns the factor itself.
+    Only ``id``, ``pow:a=...`` and ``geom:q=...`` have a factor form: ln nu,
+    a ln nu (cut only where nu is) and the exact polynomial nu ln q.
 
     Raises:
         SummandSpecError: malformed spec, or a family without factor form.
     """
     fam, args = _parse_spec(spec)
-    f = _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
+    _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
     if fam == "id":
         return identity_factor()
     if fam == "pow":
-        # ln(nu^a) = a ln nu: the log summand's metadata, scaled
+        # ln(nu^a) read as a ln nu, which does not wrap where nu^a crosses the cut
         (a,) = args
-        lf = log_summand()
-        return replace(lf, eval=f.eval, deriv=lambda k, t: a * lf.deriv(k, t),
-                       label=f"factor:{spec}")
+        lf = identity_factor()
+        return replace(lf, eval=lambda pts: a * lf.eval(pts),
+                       deriv=lambda k, t: a * lf.deriv(k, t), label=f"factor:{spec}")
     if fam == "geom":
-        # ln(q^nu) = nu ln q is an exact polynomial in nu
+        # ln(q^nu) read as nu ln q, an exact polynomial in nu
         (q,) = args
-        return replace(poly_summand((0.0, cmath.log(q))),
-                       eval=lambda pts: np.power(q, pts), label=f"factor:{spec}")
+        return replace(poly_summand((0.0, cmath.log(q))), label=f"factor:{spec}")
     raise SummandSpecError(
         f"family {fam!r} carries sum metadata; the product command supports "
         "'id', 'pow:a=...', 'geom:q=...'"

@@ -253,6 +253,15 @@ def test_prod_power_matches_identity_route(capsys):
     assert abs(v_id - math.sqrt(math.pi) / 2.0) < 1e-8
 
 
+def test_prod_power_with_complex_exponent(capsys):
+    # exp(a ln Gamma(3/2)); the principal log of nu^a would wrap on the orbit
+    rc, out, _ = run(capsys, ["prod", "--f", "pow:a=0.3+0.5i", "--from", "1", "--to", "0.5"])
+    assert rc == 0
+    got = complex(value_line(out).split()[1].replace("i", "j"))
+    assert abs(got - (0.9626558301955944 - 0.0582066413989268j)) < 1e-12
+    assert "converged true" in out
+
+
 def test_prod_geometric_is_exact(capsys):
     rc, out, _ = run(capsys, ["prod", "--f", "geom:q=2", "--from", "1", "--to", "3"])
     assert rc == 0

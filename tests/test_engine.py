@@ -30,6 +30,7 @@ from fracsum.polycore import Polynomial, poly_sum
 from fracsum.summands import (
     binom,
     bd_term,
+    factor_from_spec,
     geom,
     gosper_term,
     identity_factor,
@@ -415,13 +416,7 @@ def test_product_of_nu_squared_plus_one():
 
 
 def test_left_product_routes_through_left_sum():
-    ln2 = math.log(2.0)
-    f = replace(
-        poly_summand((0.0, ln2)),
-        eval=lambda pts: np.exp(pts * ln2),
-        label="pow2",
-    )
-    res = frac_product(f, 1.0, 3.0, left=True)
+    res = frac_product(poly_summand((0.0, math.log(2.0))), 1.0, 3.0, left=True)
     assert abs(res.value - 64.0) < 1e-10 * 64.0
 
 
@@ -434,6 +429,32 @@ def test_product_branch_cut_is_a_hard_error():
 def test_product_orbit_through_zero_is_domain_error():
     with pytest.raises(DomainError):
         frac_product(identity_factor(), -2.0, 1.5)
+
+
+def test_product_branch_cut_is_caught_before_any_evaluation():
+    # the factor's guard checks the whole orbit before any term is evaluated
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return np.log(pts)
+
+    with pytest.raises(BranchCutError):
+        frac_product(replace(identity_factor(), eval=counted), -2.5, 1.25)
+    assert calls == []
+
+
+@pytest.mark.parametrize("a", [0.3 + 0.5j, 1 + 1j, 0.5 + 2j, -0.5 + 1.5j])
+def test_power_factor_with_complex_exponent(a):
+    # the summand is a ln nu, so no level value jumps by 2 pi i where the
+    # principal log of nu^a would wrap
+    mpmath = pytest.importorskip("mpmath")
+    f = factor_from_spec(f"pow:a={a.real}{a.imag:+}i")
+    for x, y in ((1.0, 0.5), (1.0, 2.7), (0.5, 3.25), (2.5 + 0.5j, 1.25)):
+        res = frac_product(f, x, y)
+        want = complex(mpmath.exp(a * (mpmath.loggamma(y + 1) - mpmath.loggamma(x))))
+        assert res.converged, (a, x, y)
+        assert abs(res.value - want) <= 1e-10 * max(1.0, abs(want)), (a, x, y)
 
 
 # ----------------------------------------------------------------- mirror check
@@ -575,8 +596,8 @@ def test_classical_consistency(f):
 def test_classical_consistency_of_products():
     for n in range(1, 9):
         pts = np.arange(1, n + 1, dtype=complex)
-        for f in (identity_factor(), tanh_factor()):
-            loop = complex(np.prod(np.asarray(f.eval(pts))))
+        for f, factor in ((identity_factor(), pts), (tanh_factor(), pts * pts + 1.0)):
+            loop = complex(np.prod(factor))
             got = frac_product(f, 1.0, float(n)).value
             assert abs(got - loop) <= 1e-10 * max(1.0, abs(loop))
 

@@ -47,6 +47,8 @@ DERIV_FAMILIES = [
     (summands.zpp_term(0.5), 6.0, (1, 2, 3)),
     (summands.poly_summand((1.0, -2.0, 0.5j, 3.0)), 1.5, (1, 2, 3)),
     (summands.tanh_factor(), 3.0, ()),
+    (summands.identity_factor(), 4.0, (1, 2, 3)),
+    (summands.factor_from_spec("pow:a=0.5+1i"), 4.0, (1, 2, 3)),
 ]
 
 
@@ -85,17 +87,6 @@ def test_log_gamma_family_derivatives_match_mpmath(f, ref):
         for k in range(7):
             want = complex(mpmath.diff(lambda t: ref(mpmath, t), 7, k))
             assert abs(f.deriv(k, 7.0) - want) <= 1e-13 * abs(want), (f.label, k)
-
-
-def test_product_factor_derivs_describe_the_log():
-    # for factors, deriv documents d^k ln f, not d^k f
-    f = summands.identity_factor()
-    ev = lambda pts: np.log(f.eval(pts))
-    for k in (1, 2, 3):
-        assert abs(f.deriv(k, 4.0) - _fd(ev, 4.0, k)) < 1e-5
-    g = summands.tanh_factor()
-    evg = lambda pts: np.log(g.eval(pts))
-    assert g.sigma == 0
 
 
 def test_recip_values_and_sigma():
@@ -250,14 +241,16 @@ def test_from_spec_rejects_malformed():
 
 
 def test_factor_from_spec_families():
+    # a factor's summand is its logarithm: eval, deriv and exact_poly alike
     f = summands.factor_from_spec("id")
     assert f.label == "id" and f.sigma == 0
     pts = np.array([2.0, 3.5], dtype=complex)
+    assert np.allclose(f.eval(pts), np.log(pts))
     g = summands.factor_from_spec("pow:a=0.5")
-    assert np.allclose(g.eval(pts), np.sqrt(pts))
+    assert np.allclose(g.eval(pts), 0.5 * np.log(pts))
     assert g.deriv(1, 4.0) == pytest.approx(0.5 / 4.0)  # d/dnu of 0.5 ln nu
     h = summands.factor_from_spec("geom:q=2")
-    assert np.allclose(h.eval(pts), 2.0**pts)
+    assert np.allclose(h.eval(pts), pts * math.log(2.0))
     assert h.exact_poly.coeffs == (0j, complex(math.log(2.0)))  # nu ln 2
     with pytest.raises(SummandSpecError, match="carries sum metadata"):
         summands.factor_from_spec("recip")
