@@ -245,6 +245,10 @@ def zpp_bracket(x: float, n: int) -> float:
     return math.exp((-0.5 - x - (n + 0.25) * l2n) * l2n + s)
 
 
+# (2m+1)! as doubles for the m-terms of gosper_series_coeffs (j < 12, m < j + 60)
+_ODD_FACTORIALS = tuple(float(math.factorial(2 * m + 1)) for m in range(12 + 60))
+
+
 def gosper_series_coeffs(b: float) -> list[float]:
     """Odd power-series coefficients of the half-shifted sinc summand.
 
@@ -262,7 +266,7 @@ def gosper_series_coeffs(b: float) -> list[float]:
                 (-1.0) ** m
                 * math.comb(m, j)
                 * b ** (2 * (m - j))
-                / float(math.factorial(2 * m + 1))
+                / _ODD_FACTORIALS[m]
             )
         out.append(acc * four_pi2**j / 2.0)
     return out

@@ -24,6 +24,9 @@ Numerical notes that matter here:
   sum_k f^(k)(n)/k! * W_k with W_k = poly_sum(z^k, x, y), which equals
   poly_sum(p_n, n+x, n+y) exactly (translation identity for polynomials)
   while avoiding the catastrophic cancellation of expanded coefficients.
+* Between real bounds the orbit is float64, so a real-analytic summand is
+  evaluated in real arithmetic and its level partials are summed as one
+  part; complex bounds, the Taylor table and the closed routes stay complex.
 * Classical tails are reused incrementally across levels: each level adds
   the correctly rounded sum (math.fsum) of its new terms as one partial,
   and the tail is the math.fsum of the partials. Long levels reach the same
@@ -69,10 +72,14 @@ SIGMA_NEG_INF = float("-inf")
 class Summand:
     """A summand f with the asymptotic metadata the engine needs.
 
-    eval must accept a complex numpy array and return the values elementwise.
-    sigma is the asymptotic degree: the Taylor polynomial of f of this degree
-    at the tail center makes f - p_n vanish along the tail; SIGMA_NEG_INF (or
-    any sigma <= -1) means p_n = 0. deriv(order, points) returns d^order f
+    eval returns the values elementwise over a numpy array of points: float64
+    points on a real orbit (both bounds real), complex128 points otherwise. A
+    summand that is complex on the real axis must promote real points itself
+    (as summands.binom does); a real evaluation of it gives NaN, which ends
+    in a DomainError, never in a silently real value. sigma is the
+    asymptotic degree: the Taylor polynomial of f of this degree at the tail
+    center makes f - p_n vanish along the tail; SIGMA_NEG_INF (or any
+    sigma <= -1) means p_n = 0. deriv(order, points) returns d^order f
     elementwise over a complex numpy array (all tail centers in one call), or
     a constant; it is required for sigma >= 1, and without it a sigma = 0
     summand takes its value from eval. domain_guard(points) -> bool array
@@ -241,8 +248,8 @@ def _guard_check(f: Summand, pts: np.ndarray) -> None:
         return
     ok = np.asarray(f.domain_guard(pts), dtype=bool)
     if not ok.all():
-        bad = pts[~ok][0]
-        raise DomainError(f"summand undefined at orbit point {bad}", complex(bad))
+        bad = complex(pts[~ok][0])
+        raise DomainError(f"summand undefined at orbit point {bad}", bad)
 
 
 # From this many values on, _exact_sum beats math.fsum over a Python list.
@@ -278,12 +285,12 @@ def _exact_sum(a: np.ndarray) -> float:
     return math.fsum([*highs, *rest[rest != 0.0].tolist()])
 
 
-def _fsum(vals) -> complex:
-    """Correctly rounded sum of complex values, real and imaginary parts apart."""
-    vals = np.asarray(vals, dtype=complex)
-    if vals.size < _SPLIT_MIN:
-        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-    return complex(_exact_sum(vals.real), _exact_sum(vals.imag))
+def _fsum(vals: np.ndarray) -> float | complex:
+    """Correctly rounded sum: of real values as one part, of complex values
+    real and imaginary parts apart."""
+    if vals.dtype.kind == "c":
+        return complex(_fsum(vals.real), _fsum(vals.imag))
+    return math.fsum(vals.tolist()) if vals.size < _SPLIT_MIN else _exact_sum(vals)
 
 
 def _exact(value: complex, err: float, cfg: EngineConfig) -> SumResult:
@@ -325,20 +332,22 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         _guard_check(f, pts)
         vals = np.asarray(f.eval(pts))
         err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
-        return _exact(sign * _fsum(vals), err, cfg)
+        return _exact(sign * complex(_fsum(vals)), err, cfg)
     # One pass over the schedule n_j = n_start * 2^j. The orbit of the whole
     # schedule is checked against the domain before any evaluation: the stop
     # below saves evaluations, not the domain, and an orbit that meets a pole
     # or a cut past the stop still has no limit. Level j evaluates the orbit
-    # points past n_{j-1}: f is added at pos and subtracted at neg.
+    # points past n_{j-1}: f is added at pos and subtracted at neg. Between
+    # real bounds the orbit is real, and its points are float64.
     ns = [cfg.n_start << j for j in range(cfg.n_levels)]
     last = ns[-1]
+    xo, yo = (x.real, y.real) if x.imag == y.imag == 0.0 else (x, y)
     if left:
         ks = np.arange(0, last, dtype=float)
-        pos, neg = y - ks, (x - 1.0) - ks
+        pos, neg = yo - ks, (xo - 1.0) - ks
     else:
         nus = np.arange(1, last + 1, dtype=float)
-        pos, neg = nus + (x - 1.0), nus + y
+        pos, neg = nus + (xo - 1.0), nus + yo
     _guard_check(f, pos)
     _guard_check(f, neg)
     # The Taylor table: the polynomial part at every center of the schedule,
@@ -363,7 +372,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         vals_neg = np.asarray(f.eval(neg[lo:n]))
         try:
             partials.append(_fsum(vals_pos - vals_neg))
-            tail = _fsum(partials)
+            tail = _fsum(np.array(partials))
         except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
             tail = complex(math.nan)
         if not np.isfinite(tail):

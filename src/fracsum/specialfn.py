@@ -2,8 +2,8 @@
 
 Everything here is double precision and complex-capable, with numpy as the
 only dependency: log-Gamma and polygamma of any order (digamma is order 0),
-both elementwise on a complex numpy array so a summand's whole orbit is one
-call, each a recurrence lift into an asymptotic series (Stirling's for ln Gamma),
+both elementwise on a numpy array so a summand's whole orbit is one call
+(log-Gamma stays real on a float array where it is real), each a recurrence lift into an asymptotic series (Stirling's for ln Gamma),
 the Hurwitz zeta function and its first and second s-derivatives
 (Euler-Maclaurin with fixed truncation, differentiated analytically in s),
 Riemann zeta wrappers, and named constants stored as high-precision decimal
@@ -93,7 +93,7 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
 
 
 def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    """Principal-branch log Gamma, elementwise on a complex numpy array.
+    """Principal-branch log Gamma, elementwise on a numpy array.
 
     Reflection through log sin(pi z) for Re z < 1/2. Otherwise the recurrence
     ln Gamma(w) = ln Gamma(w + m) - sum_{j<m} ln(w + j), a sum of principal
@@ -104,16 +104,20 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     |ln Gamma| < 1).
 
     Args:
-        z: a complex numpy array (or a scalar) holding no pole of Gamma.
+        z: a numpy array (or a scalar) holding no pole of Gamma.
 
     Returns:
-        A complex array of z's shape; a Python complex for a scalar z.
+        An array of z's shape: float64 for a float64 array whose elements are
+        all >= 1/2, where ln Gamma is real, complex otherwise; a Python
+        complex for a scalar z.
 
     Raises:
         PoleError: some element of z is a nonpositive integer.
     """
     scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.atleast_1d(np.asarray(z))
+    if scalar or z.dtype != np.float64 or not (z >= 0.5).all():
+        z = z.astype(complex, copy=False)
     _check_poles(z, "log_gamma")
     refl = z.real < 0.5
     any_refl = np.count_nonzero(refl)

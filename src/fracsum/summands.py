@@ -42,6 +42,12 @@ __all__ = [
     "gosper_term",
 ]
 
+def _real(z: complex) -> float | complex:
+    """z as a float when it is real: numpy then keeps a real orbit's values
+    float64, and promotes them to complex only where z is complex."""
+    return z.real if z.imag == 0.0 else z
+
+
 def _off_cut(pts: np.ndarray) -> np.ndarray:
     """True where the principal log is defined and continuous."""
     ok = pts.real > 0.0
@@ -80,9 +86,10 @@ def power(a: complex) -> Summand:
     a = complex(a)
     is_real = a.imag == 0.0
     is_int = is_real and a.real == round(a.real)
+    ra = _real(a)
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        return np.power(pts.astype(complex), a)
+        return np.power(pts, ra)
 
     def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
         # the falling factorial a (a-1) ... (a-k+1)
@@ -139,8 +146,15 @@ def _times_t(g: Deriv) -> Deriv:
 
 
 def _leibniz(f: Deriv, g: Deriv) -> Deriv:
-    """The derivatives of f g: d^k (f g) = sum_j C(k, j) f^(j) g^(k-j)."""
-    return lambda k, t: sum(math.comb(k, j) * f(j, t) * g(k - j, t) for j in range(k + 1))
+    """The derivatives of f g: d^k (f g) = sum_j C(k, j) f^(j) g^(k-j), each
+    ladder evaluated once (one ladder for a square, g is f)."""
+
+    def d(k: int, t: np.ndarray) -> np.ndarray:
+        fs = [f(j, t) for j in range(k + 1)]
+        gs = fs if g is f else [g(j, t) for j in range(k + 1)]
+        return sum(math.comb(k, j) * fs[j] * gs[k - j] for j in range(k + 1))
+
+    return d
 
 
 def log_summand() -> Summand:
@@ -166,7 +180,7 @@ def geom(q: complex) -> Summand:
         raise SummandSpecError(f"geom ratio {q} lies on the closed negative real axis")
     if q == 1.0:
         return replace(poly_summand((1.0,)), label="geom:1")
-    lq = cmath.log(q)
+    lq = _real(cmath.log(q))
     return Summand(
         eval=lambda pts: np.exp(pts * lq),
         sigma=SIGMA_NEG_INF,
@@ -183,12 +197,12 @@ def binom(c: complex, x: complex) -> Summand:
     coefficient vanishes there; sin(pi a) in doubles would leave a rounding
     residue). A pole of Gamma(w+1) anywhere in the orbit is a DomainError.
     """
-    c = complex(c)
+    c = _real(complex(c))
     x = complex(x)
     if x == 0:
         raise SummandSpecError("binom requires x != 0")
-    lx = cmath.log(x)
-    lgc1 = log_gamma(c + 1.0)
+    lx = _real(cmath.log(x))
+    lgc1 = _real(log_gamma(c + 1.0))
 
     def ev(pts: np.ndarray) -> np.ndarray:
         tol = 1e-12 * (1.0 + np.abs(pts))
@@ -208,9 +222,8 @@ def binom(c: complex, x: complex) -> Summand:
         # only the nonzero coefficients are evaluated: on a sum over [0, c]
         # every point of the upper orbit w = nu + c is a zero
         live = ~near_nonpos_int(a)
-        out = np.zeros(pts.shape, dtype=complex)
         if not live.any():
-            return out
+            return np.zeros_like(pts)
         w, a = pts[live], a[live]
         refl = a.real < 0.5
         # 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi on the reflection branch
@@ -218,10 +231,11 @@ def binom(c: complex, x: complex) -> Summand:
         lc = lgc1 - log_gamma(w + 1.0) + np.where(refl, lg_a, -lg_a)
         v = np.exp(lc + w * lx)
         v[refl] *= np.sin(math.pi * a[refl]) / math.pi
+        out = np.zeros(pts.shape, dtype=v.dtype)
         out[live] = v
         return out
 
-    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"binom:{c}:{x}")
+    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"binom:{complex(c)}:{x}")
 
 
 def vlnv() -> Summand:
@@ -291,7 +305,7 @@ def nu_lnfact() -> Summand:
 
 def bd_term(x: complex) -> Summand:
     """f(nu) = 2 nu ln(1 + x/nu); bounded (-> 2x), sigma = 0, error ~ n^{-2}."""
-    x = complex(x)
+    x = _real(complex(x))
 
     def ev(pts: np.ndarray) -> np.ndarray:
         # numpy's complex log1p is log(1 + z), which loses the digits of a small
@@ -305,7 +319,7 @@ def bd_term(x: complex) -> Summand:
         sigma=0,
         domain_guard=lambda pts: _off_cut(1.0 + x / pts),
         rate_hint=2.0,
-        label=f"bd:{x}",
+        label=f"bd:{complex(x)}",
     )
 
 
@@ -317,7 +331,7 @@ def zpp_term(x: complex) -> Summand:
     vanishes there), so the raw levels are already at ~1e-14 by n ~ 1000.
     Its derivatives, at every order, are those of t * 2 L(t)^2, L = ln(2t + x).
     """
-    x = complex(x)
+    x = _real(complex(x))
 
     def ev(pts: np.ndarray) -> np.ndarray:
         u = np.log(2.0 * pts + x)
@@ -331,7 +345,7 @@ def zpp_term(x: complex) -> Summand:
         deriv=_times_t(lambda k, t: 2.0 * LL(k, t)),
         domain_guard=lambda pts: _off_cut(2.0 * pts + x),
         rate_hint=4.0,
-        label=f"zpp:{x}",
+        label=f"zpp:{complex(x)}",
     )
 
 
@@ -390,11 +404,11 @@ def sermul_combined(q1: complex, q2: complex) -> Summand:
     its fractional sum factors into the product of the two geometric closed
     forms.
     """
-    q1, q2 = complex(q1), complex(q2)
+    q1, q2 = _real(complex(q1)), _real(complex(q2))
     for q in (q1, q2):
         if q == 1.0 or q == 0.0:
-            raise SummandSpecError(f"sermul ratio {q} degenerate")
-    l1, l2 = cmath.log(q1), cmath.log(q2)
+            raise SummandSpecError(f"sermul ratio {complex(q)} degenerate")
+    l1, l2 = _real(cmath.log(q1)), _real(cmath.log(q2))
 
     def ev(pts: np.ndarray) -> np.ndarray:
         f = np.exp(pts * l1)
@@ -403,7 +417,7 @@ def sermul_combined(q1: complex, q2: complex) -> Summand:
         tail_f = q1 * (1.0 - np.exp((pts - 1.0) * l1)) / (1.0 - q1)
         return f * g + f * tail_g + g * tail_f
 
-    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"sermul:{q1}:{q2}")
+    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"sermul:{complex(q1)}:{complex(q2)}")
 
 
 def gosper_term(b: float) -> Summand:
@@ -543,7 +557,7 @@ def factor_from_spec(spec: str) -> Summand:
         return identity_factor()
     if fam == "pow":
         # ln(nu^a) read as a ln nu, which does not wrap where nu^a crosses the cut
-        (a,) = args
+        a = _real(args[0])
         lf = identity_factor()
         return replace(lf, eval=lambda pts: a * lf.eval(pts),
                        deriv=lambda k, t: a * lf.deriv(k, t), label=f"factor:{spec}")

@@ -100,6 +100,22 @@ def test_log_gamma_array_matches_mpmath_and_scalar_calls():
         log_gamma(np.array([1.5, 2.0 + 1j, -3.0, 4.0]))
 
 
+def test_log_gamma_stays_float_where_it_is_real():
+    # ln Gamma is real on [1/2, inf): a float64 array there stays float64,
+    # any other point promotes the whole array to complex
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([0.5, 0.73, 1.0, 1.5, 2.0, 5.9, 6.0, 6.1, 40.0, 1e3, 2e4])
+    got = log_gamma(x)
+    assert got.dtype == np.float64
+    for w, g in zip(x, got):
+        want = float(mpmath.loggamma(w))
+        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), w
+    for z in ([0.49, 2.0], [-0.5, 2.0]):
+        got = log_gamma(np.array(z))
+        assert got.dtype == np.complex128
+        assert abs(got[0] - complex(mpmath.loggamma(z[0]))) <= 1e-13
+
+
 def test_digamma_classic_values():
     assert digamma(1.0).real == pytest.approx(-EULER_GAMMA, rel=1e-12)
     assert digamma(2.0).real == pytest.approx(1.0 - EULER_GAMMA, rel=1e-12)

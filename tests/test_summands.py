@@ -112,6 +112,53 @@ def test_power_negative_real_axis_guard():
     assert list(ok) == [False, True, True]
 
 
+# Every built-in family that is real on the positive real axis, and points of
+# the real orbits the engine evaluates, up to 2^16 past a start of 1.
+REAL_FAMILIES = [
+    summands.recip(), summands.power(0.5), summands.power(1.3), summands.power(-0.4),
+    summands.power(-2), summands.log_summand(), summands.geom(0.5), summands.binom(2.5, 0.3),
+    summands.vlnv(), summands.lnfact(), summands.ln_gamma_summand(), summands.ln_gamma_2nu(),
+    summands.lognu_lnfact(), summands.nu_lnfact(), summands.bd_term(0.3), summands.zpp_term(0.5),
+    summands.sermul_combined(0.5, 0.3), summands.gosper_term(1.5), summands.identity_factor(),
+    summands.tanh_factor(), summands.factor_from_spec("pow:a=0.5"),
+]
+REAL_ORBIT = np.concatenate([np.arange(1, 300) + 0.37, 2.0 ** np.arange(17) + 0.37,
+                             2.0 ** np.arange(17) * 1.5 - 0.25])
+
+
+@pytest.mark.parametrize("f", REAL_FAMILIES, ids=lambda f: f.label)
+def test_real_orbit_evaluates_in_float64(f):
+    # numpy's complex power is itself off by up to 9 eps (for a = 1.3), the
+    # float one by at most an ulp, so the two agree to a few times that
+    got = f.eval(REAL_ORBIT)
+    want = f.eval(REAL_ORBIT.astype(complex))
+    assert got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * np.abs(want)), f.label
+
+
+@pytest.mark.parametrize("a", [0.5, 1.3, -0.286, 2.5])
+def test_real_power_is_within_an_ulp_of_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    pts = np.concatenate([np.arange(1, 400) * 0.731 + 0.37, 2.0 ** np.arange(21) + 0.37])
+    got = summands.power(a).eval(pts)
+    with mpmath.workdps(40):
+        for p, v in zip(pts, got):
+            want = float(mpmath.mpf(p) ** a)
+            assert abs(v - want) <= math.ulp(want), (a, p)
+
+
+@pytest.mark.parametrize("f", [summands.geom(0.5 + 0.2j), summands.power(0.7 + 0.5j),
+                               summands.binom(2.5, -0.3)], ids=lambda f: f.label)
+def test_complex_on_the_real_axis_stays_complex(f):
+    # the family promotes a real orbit itself; a float result would drop
+    # the imaginary part
+    got = f.eval(REAL_ORBIT[:40])
+    want = f.eval(REAL_ORBIT[:40].astype(complex))
+    assert got.dtype == np.complex128
+    assert np.abs(want.imag).max() > 0.01 * np.abs(want).max()
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_geom_rejects_branch_cut_ratio():
     with pytest.raises(SummandSpecError):
         summands.geom(-0.25)
