@@ -25,8 +25,11 @@ Numerical notes that matter here:
   poly_sum(p_n, n+x, n+y) exactly (translation identity for polynomials)
   while avoiding the catastrophic cancellation of expanded coefficients.
 * Between real bounds the orbit is float64, so a real-analytic summand is
-  evaluated in real arithmetic and its level partials are summed as one
-  part; complex bounds, the Taylor table and the closed routes stay complex.
+  evaluated in real arithmetic and its terms are summed as one part; complex
+  bounds, the Taylor table and poly_sum stay complex.
+* The closed routes, an exact polynomial's poly_sum and an integer length's
+  classical loop, run no level: they report levels = () and n_used the
+  classical terms they evaluated (0 for a polynomial).
 * Classical tails are reused incrementally across levels: each level adds
   the correctly rounded sum (math.fsum) of its new terms as one partial,
   and the tail is the math.fsum of the partials. Long levels reach the same
@@ -73,7 +76,7 @@ class Summand:
     """A summand f with the asymptotic metadata the engine needs.
 
     eval returns the values elementwise over a numpy array of points: float64
-    points on a real orbit (both bounds real), complex128 points otherwise. A
+    points between real bounds, on every route, complex128 points otherwise. A
     summand that is complex on the real axis must promote real points itself
     (as summands.binom does); a real evaluation of it gives NaN, which ends
     in a DomainError, never in a silently real value. sigma is the
@@ -119,10 +122,10 @@ class Summand:
 class EngineConfig:
     """Discretization of the defining limit.
 
-    Levels are n_j = n_start * 2^j for j < n_levels, at most; extrap_order
-    Richardson eliminations are applied to the level values; tol is the
-    target absolute-or-relative error for the converged flag, positive and
-    finite.
+    Levels are n_j = n_start * 2^j for j < n_levels, at most, the deepest at
+    most 2^20 (128 times the default 8,192); extrap_order Richardson
+    eliminations are applied to the level values; tol is the target
+    absolute-or-relative error for the converged flag, positive and finite.
     """
 
     n_start: int = 64
@@ -135,6 +138,10 @@ class EngineConfig:
             raise ParameterError(f"n_start must be >= 1, got {self.n_start}")
         if self.n_levels < 2:
             raise ParameterError(f"n_levels must be >= 2, got {self.n_levels}")
+        # the deepest level, n_levels first so that no huge shift is built
+        if self.n_levels > 21 or self.n_start << (self.n_levels - 1) > 2**20:
+            raise ParameterError("n_start * 2^(n_levels - 1) must be at most 2^20, got "
+                                 f"{self.n_start} * 2^{self.n_levels - 1}")
         if not 0 <= self.extrap_order < self.n_levels:
             raise ParameterError(
                 f"extrap_order must be in [0, n_levels), got {self.extrap_order}"
@@ -151,8 +158,9 @@ class SumResult:
     """Outcome of one engine evaluation.
 
     levels holds the raw values (n_j, S(n_j)) of the levels run, before
-    extrapolation, for diagnostics (the exact routes list every level of the
-    schedule, each with the exact value); converged means err_estimate <= tol.
+    extrapolation, for diagnostics. n_used is the n of the kept level, the
+    count of classical terms a closed route evaluated, or 0 for an exact
+    polynomial. converged means err_estimate <= tol * max(1, |value|).
     """
 
     value: complex
@@ -287,29 +295,36 @@ def _exact_sum(a: np.ndarray) -> float:
 
 def _fsum(vals: np.ndarray) -> float | complex:
     """Correctly rounded sum: of real values as one part, of complex values
-    real and imaginary parts apart."""
+    real and imaginary parts apart. nan where math.fsum meets inf - inf or
+    overflows."""
     if vals.dtype.kind == "c":
         return complex(_fsum(vals.real), _fsum(vals.imag))
-    return math.fsum(vals.tolist()) if vals.size < _SPLIT_MIN else _exact_sum(vals)
+    try:
+        return math.fsum(vals.tolist()) if vals.size < _SPLIT_MIN else _exact_sum(vals)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
-def _exact(value: complex, err: float, cfg: EngineConfig) -> SumResult:
-    """Result of a closed route: every level of the schedule has the value."""
-    levels = tuple((cfg.n_start << j, value) for j in range(cfg.n_levels))
-    converged = bool(err <= cfg.tol * max(1.0, abs(value)))
-    return SumResult(value=value, err_estimate=err, n_used=levels[-1][0],
-                     converged=converged, levels=levels)
+def _result(value: complex, err: float, n_used: int, levels: Sequence, cfg: EngineConfig) -> SumResult:
+    """The one exit of every sum route: a value that is not finite is a
+    DomainError, and converged means the error bar is within tol."""
+    if not np.isfinite(value):
+        raise DomainError(f"the sum is not finite: {value}")
+    converged = bool(math.isfinite(err) and err <= cfg.tol * max(1.0, abs(value)))
+    return SumResult(value, err, n_used, converged, tuple(levels))
 
 
-# Overflow and inf - inf in the terms end as a DomainError or an inf value
-# below; numpy's warnings would only repeat them on stderr.
+# Overflow and inf - inf in the terms end as a DomainError below; numpy's
+# warnings would only repeat them on stderr.
 @np.errstate(over="ignore", invalid="ignore")
 def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:
     x, y = complex(x), complex(y)
     if f.exact_poly is not None:
         # p_n == f at every center, so S(n_j) = poly_sum(f, x, y) identically
         # for every level (and for both tail directions).
-        return _exact(poly_sum(f.exact_poly, x, y), 0.0, cfg)
+        return _result(poly_sum(f.exact_poly, x, y), 0.0, 0, (), cfg)
+    # Between real bounds the orbit is real, and its points are float64.
+    xo, yo = (x.real, y.real) if x.imag == y.imag == 0.0 else (x, y)
     delta = y - x
     if abs(delta.real) <= 2_000_000 and abs(delta - round(delta.real)) <= (
         4.0 * float(np.finfo(float).eps) * max(1.0, abs(x), abs(y))
@@ -322,26 +337,22 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         # a few ulp off an integer is that integer: y - x rounds.
         m = int(round(delta.real)) + 1
         if m >= 0:
-            pts = (x + np.arange(m, dtype=float)).astype(complex)
-            sign = 1.0
+            pts, sign = xo + np.arange(m, dtype=float), 1.0
         else:
-            pts = (y + np.arange(1, 1 - m, dtype=float)).astype(complex)
-            sign = -1.0
+            pts, sign = yo + np.arange(1, 1 - m, dtype=float), -1.0
         if not pts.size:
-            return _exact(0j, 0.0, cfg)
+            return _result(0j, 0.0, 0, (), cfg)
         _guard_check(f, pts)
         vals = np.asarray(f.eval(pts))
         err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
-        return _exact(sign * complex(_fsum(vals)), err, cfg)
+        return _result(sign * complex(_fsum(vals)), err, pts.size, (), cfg)
     # One pass over the schedule n_j = n_start * 2^j. The orbit of the whole
     # schedule is checked against the domain before any evaluation: the stop
     # below saves evaluations, not the domain, and an orbit that meets a pole
     # or a cut past the stop still has no limit. Level j evaluates the orbit
-    # points past n_{j-1}: f is added at pos and subtracted at neg. Between
-    # real bounds the orbit is real, and its points are float64.
+    # points past n_{j-1}: f is added at pos and subtracted at neg.
     ns = [cfg.n_start << j for j in range(cfg.n_levels)]
     last = ns[-1]
-    xo, yo = (x.real, y.real) if x.imag == y.imag == 0.0 else (x, y)
     if left:
         ks = np.arange(0, last, dtype=float)
         pos, neg = yo - ks, (xo - 1.0) - ks
@@ -370,11 +381,8 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     for j, (lo, n) in enumerate(zip([0, *ns], ns)):
         vals_pos = np.asarray(f.eval(pos[lo:n]))
         vals_neg = np.asarray(f.eval(neg[lo:n]))
-        try:
-            partials.append(_fsum(vals_pos - vals_neg))
-            tail = _fsum(np.array(partials))
-        except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
-            tail = complex(math.nan)
+        partials.append(_fsum(vals_pos - vals_neg))
+        tail = _fsum(np.array(partials))
         if not np.isfinite(tail):
             raise DomainError(f"the classical tail is not finite at level n = {n}")
         term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
@@ -422,9 +430,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
             cancel_mag = max(cancel_mag, abs(value - p_term) + abs(p_term))
         floor = 8.0 * eps * cancel_mag + kept_walk + 2 * last * math.ulp(0.0)
         err = max(err, floor)
-    converged = bool(math.isfinite(err) and err <= cfg.tol * max(1.0, abs(value)))
-    return SumResult(value=value, err_estimate=err, n_used=ns[m_used - 1],
-                     converged=converged, levels=tuple(levels))
+    return _result(value, err, ns[m_used - 1], levels, cfg)
 
 
 def frac_sum_right(
@@ -439,7 +445,7 @@ def frac_sum_right(
 
     Raises:
         DomainError: an orbit point fails the summand's domain guard, or the
-            classical tail of a level is not finite.
+            classical tail of a level, or the sum, is not finite.
     """
     return _run_levels(f, x, y, cfg, left=False)
 
@@ -467,19 +473,17 @@ def frac_product(
     f is the summand of ln g: its eval, sigma, deriv and domain_guard all
     describe nu -> ln g(nu). The factor families' guards raise BranchCutError
     where g meets the cut of the principal log. left selects the left-tail sum.
+    A product past the float range is inf with err_estimate inf, and is not
+    converged; otherwise err_estimate is |value| times the sum's.
 
     Raises:
         DomainError: as frac_sum_right, BranchCutError from a factor's guard.
     """
     res = (frac_sum_left if left else frac_sum_right)(f, x, y, cfg)
     value = complex(np.exp(res.value))
-    return SumResult(
-        value=value,
-        err_estimate=float(abs(value) * res.err_estimate),
-        n_used=res.n_used,
-        converged=res.converged,
-        levels=tuple((n, complex(np.exp(v))) for n, v in res.levels),
-    )
+    err = float(abs(value) * res.err_estimate) if np.isfinite(value) else math.inf
+    return SumResult(value, err, res.n_used, res.converged and math.isfinite(err),
+                     tuple((n, complex(np.exp(v))) for n, v in res.levels))
 
 
 def reflected(f: Summand) -> Summand:

@@ -86,6 +86,8 @@ def power(a: complex) -> Summand:
     a = complex(a)
     is_real = a.imag == 0.0
     is_int = is_real and a.real == round(a.real)
+    if is_int and a.real >= 0:
+        return replace(poly_summand(Polynomial.monomial(int(a.real)).coeffs), label=f"pow:{a}")
     ra = _real(a)
 
     def ev(pts: np.ndarray) -> np.ndarray:
@@ -94,11 +96,8 @@ def power(a: complex) -> Summand:
     def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
         # the falling factorial a (a-1) ... (a-k+1)
         fall = math.prod((a - i for i in range(k)), start=1.0 + 0j)
-        return fall * np.exp((a - k) * np.log(t)) if fall else 0j
+        return fall * np.exp((a - k) * np.log(t))
 
-    if is_int and a.real >= 0:
-        d = int(a.real)
-        return Summand(eval=ev, sigma=d, deriv=dv, exact_poly=Polynomial.monomial(d), label=f"pow:{a}")
     if a.real < 0:
         return Summand(
             eval=ev,
@@ -314,10 +313,14 @@ def bd_term(x: complex) -> Summand:
         w = 1.0 + z
         return 2.0 * pts * np.divide(np.log(w) * z, w - 1.0, out=z.copy(), where=w != 1.0)
 
+    def guard(pts: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):  # nu = 0 fails _nonzero
+            return _nonzero(pts) & _off_cut(1.0 + x / pts)
+
     return Summand(
         eval=ev,
         sigma=0,
-        domain_guard=lambda pts: _off_cut(1.0 + x / pts),
+        domain_guard=guard,
         rate_hint=2.0,
         label=f"bd:{complex(x)}",
     )

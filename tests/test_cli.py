@@ -10,8 +10,15 @@ from fracsum.cli import main
 
 
 def run(capsys, argv):
+    """main(argv) with its output; stderr is one error line on exit 1, and
+    empty otherwise."""
     rc = main(argv)
     captured = capsys.readouterr()
+    if rc == 1:
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n")
+    else:
+        assert captured.err == ""
     return rc, captured.out, captured.err
 
 
@@ -93,12 +100,47 @@ def test_overflowing_left_sum_exits_one(capsys, argv):
 
 
 def test_overflowing_product_prints_inf(capsys):
-    # Gamma(201.5) overflows: the engine returns inf, not converged
-    rc, out, err = run(capsys, ["prod", "--f", "id", "--from", "1", "--to", "200.5"])
+    # Gamma(201.5), 300! and 2^(2001000.75) overflow on the limit route, the
+    # classical loop and the exact polynomial: inf, not converged
+    for spec, to in (("id", "200.5"), ("id", "300"), ("geom:q=2", "2000.5")):
+        rc, out, err = run(capsys, ["prod", "--f", spec, "--from", "1", "--to", to])
+        assert rc == 0
+        assert err == ""
+        assert out.splitlines()[:2] == ["value inf", "err_estimate inf"]
+        assert "converged false" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "pow:a=60", "--from", "1", "--to", "1e10"],
+    ["--f", "geom:q=0.5", "--from", "-2000", "--to", "-900"],
+])
+def test_closed_sum_past_the_float_range_exits_one(capsys, argv):
+    rc, out, err = run(capsys, ["sum", *argv])
+    assert rc == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-start", "1000000000000000"],
+    ["--n-start", "10000000"],
+    ["--n-start", "16384"],
+    ["--levels", "200"],
+    ["--levels", "1000000000000"],
+])
+def test_schedule_past_two_to_the_twentieth_exits_one(capsys, flags):
+    rc, out, err = run(capsys, ["sum", "--f", "recip", "--from", "1", "--to", "0.5", *flags])
+    assert rc == 1
+    assert out == ""
+    assert "at most 2^20" in err
+
+
+def test_closed_route_prints_no_levels(capsys):
+    rc, out, _ = run(capsys, ["sum", "--f", "poly:0,1", "--from", "1", "--to", "0.5",
+                              "--output", "json"])
     assert rc == 0
-    assert err == ""
-    assert value_line(out) == "value inf"
-    assert "converged false" in out
+    data = json.loads(out)
+    assert (data["n_used"], data["levels"]) == (0, [])
 
 
 def test_format_complex_non_finite():

@@ -183,13 +183,37 @@ def test_linear_summand_agrees_with_poly_sum():
 
 
 def test_exact_polynomial_route_structure():
-    cfg = EngineConfig()
-    res = frac_sum_right(poly_summand((0.0, 1.0)), 1.0, 7.0, cfg)
+    # the closed routes run no level: n_used counts the classical terms they
+    # evaluated, none for an exact polynomial
+    res = frac_sum_right(poly_summand((0.0, 1.0)), 1.0, 7.0)
     assert res.converged
-    assert res.n_used == cfg.n_start << (cfg.n_levels - 1)
-    assert len(res.levels) == cfg.n_levels
-    assert all(n == cfg.n_start << j for j, (n, _) in enumerate(res.levels))
-    assert all(v == res.value for _, v in res.levels)
+    assert (res.n_used, res.levels) == (0, ())
+    res = frac_sum_right(recip(), 1.0, 3.0)
+    assert res.converged
+    assert (res.n_used, res.levels) == (3, ())
+    res = frac_sum_right(recip(), 1.0, 0.0)
+    assert (res.n_used, res.levels) == (0, ())
+
+
+@pytest.mark.parametrize("f, x, y", [(power(60), 1.0, 1e10), (geom(0.5), -2000.0, -900.0)])
+def test_closed_sum_past_the_float_range_is_a_domain_error(f, x, y):
+    # the Bernoulli-polynomial sum meets inf - inf; the classical loop overflows
+    with pytest.raises(DomainError, match="not finite"):
+        frac_sum_right(f, x, y)
+
+
+@pytest.mark.parametrize("y", [3.5, 3.25])
+def test_every_route_evaluates_real_bounds_in_float64(y):
+    # y = 3.5 takes the integer-length route, y = 3.25 the limit route
+    dtypes = set()
+
+    def ev(pts):
+        dtypes.add(pts.dtype)
+        return 1.0 / pts
+
+    res = frac_sum_right(replace(recip(), eval=ev), 1.5, y)
+    assert dtypes == {np.dtype(np.float64)}
+    assert res.value == frac_sum_right(recip(), 1.5, y).value
 
 
 def test_integer_length_interval_is_classical():
@@ -352,8 +376,9 @@ def test_level_partials_are_math_fsum_bit_for_bit(n):
         for part, w in zip((vals.real, vals.imag), want):
             got = _fsum(np.ascontiguousarray(part))
             assert type(got) is float and got.hex() == w.hex(), name
-    with pytest.raises(ValueError):  # math.fsum's error for inf - inf
-        _fsum(np.append(np.ones(n - 2), [np.inf, -np.inf]))
+    # where math.fsum raises, for inf - inf or an overflowing partial, _fsum is nan
+    for pair in ([np.inf, -np.inf], [1.5e308, 1.5e308]):
+        assert math.isnan(_fsum(np.append(np.ones(n - 2), pair)))
 
 
 def test_non_convergence_is_flagged_not_fabricated():
@@ -379,10 +404,11 @@ def test_summand_complex_on_the_real_axis_must_promote_itself():
     def ev(promote):
         return lambda pts: np.power((pts.astype(complex) if promote else pts) - 2.0, -2.5)
 
-    with pytest.raises(DomainError, match="not finite"):
-        frac_sum_right(Summand(eval=ev(False), rate_hint=1.5), 0.5, 1.25)
-    res = frac_sum_right(Summand(eval=ev(True), rate_hint=1.5), 0.5, 1.25)
-    assert res.converged and abs(res.value.imag) > 0.1
+    for y in (1.25, 2.5):  # the limit route, and an integer length
+        with pytest.raises(DomainError, match="not finite"):
+            frac_sum_right(Summand(eval=ev(False), rate_hint=1.5), 0.5, y)
+        res = frac_sum_right(Summand(eval=ev(True), rate_hint=1.5), 0.5, y)
+        assert res.converged and abs(res.value.imag) > 0.1
 
 
 def test_orbit_through_pole_is_domain_error():
@@ -714,6 +740,12 @@ def test_engine_config_validation():
         EngineConfig(tol=math.nan)
     with pytest.raises(ParameterError):
         EngineConfig(tol=math.inf)
+    # the deepest level n_start * 2^(n_levels - 1) is at most 2^20
+    EngineConfig(n_start=2**13, n_levels=8)
+    EngineConfig(n_start=1, n_levels=21)
+    for n_start, n_levels in ((2**14, 8), (1, 22), (10**15, 8), (64, 200), (64, 10**12)):
+        with pytest.raises(ParameterError, match="at most 2\\^20"):
+            EngineConfig(n_start=n_start, n_levels=n_levels)
 
 
 def test_summand_validation():

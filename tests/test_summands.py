@@ -2,12 +2,13 @@
 and the CLI spec grammar."""
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracsum import summands
-from fracsum.engine import DEFAULT_CONFIG, SIGMA_NEG_INF
+from fracsum.engine import DEFAULT_CONFIG, SIGMA_NEG_INF, frac_sum_left
 from fracsum.errors import DomainError, SummandSpecError
 
 
@@ -202,6 +203,19 @@ def test_bd_term_uses_log1p_form():
     v = f.eval(np.array([10.0 + 0j]))[0]
     assert v == pytest.approx(2 * 10.0 * math.log1p(1.0 / 10.0), rel=1e-14)
     assert f.sigma == 0
+
+
+@pytest.mark.parametrize("y", [0.5, 0.5 + 1j])
+def test_bd_term_guard_rejects_nu_zero(y):
+    # the left orbit of [1, y] meets nu = 0, where 1 + x/nu is inf; the guard
+    # names the point, without a numpy warning, before any term is evaluated
+    calls = []
+    f = summands.bd_term(0.3)
+    counted = replace(f, eval=lambda pts: calls.append(pts) or f.eval(pts))
+    with pytest.raises(DomainError, match=r"orbit point 0j") as info:
+        frac_sum_left(counted, 1.0, y)
+    assert info.value.value == 0j
+    assert calls == []
 
 
 @pytest.mark.parametrize("x", [0.25, 1.7, 0.3 + 0.4j, -0.2 + 1.1j])
