@@ -17,8 +17,6 @@ from .catalog import (
     run_identity,
 )
 from .engine import (
-    DEFAULT_CONFIG,
-    EngineConfig,
     MirrorCheck,
     SumResult,
     Summand,
@@ -54,9 +52,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Identity", "IdentityReport", "PointRecord", "figure_csv",
     "get_identity", "identity_ids", "run_all", "run_identity",
-    "DEFAULT_CONFIG", "EngineConfig", "MirrorCheck", "SumResult", "Summand",
-    "frac_product", "frac_sum_left", "frac_sum_right", "mirror_check",
-    "richardson_extrapolate",
+    "MirrorCheck", "SumResult", "Summand", "frac_product", "frac_sum_left",
+    "frac_sum_right", "mirror_check", "richardson_extrapolate",
     "BranchCutError", "DomainError", "FracsumError", "PoleError",
     "ParameterError", "SummandSpecError", "UnknownIdentityError",
     "Polynomial", "antidifference", "bernoulli", "poly_sum",

@@ -2,12 +2,11 @@
 
 Each identity pairs an engine evaluation route (the lhs) with an
 independently computed closed form (the rhs) on a fixed grid of points.
-The catalog is one immutable table built at import; a route takes the
-engine config and its point's grid parameters by name,
-evaluate(cfg, **params). Grids are literal constants so reports are
-reproducible bit for bit; tolerances are per identity. Theorem-kind
-identities carry a pass flag, experiment-kind identities only record
-their findings.
+The catalog is one immutable table built at import; a route takes its
+point's grid parameters by name, evaluate(**params), and sets nothing in
+the engine. Grids are literal constants so reports are reproducible bit for
+bit; tolerances are per identity. Theorem-kind identities carry a pass
+flag, experiment-kind identities only record their findings.
 """
 from __future__ import annotations
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import summands as fams
 from .engine import (
-    DEFAULT_CONFIG,
-    EngineConfig,
     frac_product,
     frac_sum_left,
     frac_sum_right,
@@ -164,7 +161,7 @@ class IdentityReport:
 class Identity:
     """A catalog identity: grid, tolerance, and both evaluation routes.
 
-    evaluate(cfg, **params) returns (lhs, rhs, note), with one keyword per
+    evaluate(**params) returns (lhs, rhs, note), with one keyword per
     grid axis of the point. kind 'theorem' gates each record on
     |lhs-rhs| <= tol * max(1, |rhs|); kind 'experiment' records without
     judging. summarize(points, records), when present, turns the grid and
@@ -276,21 +273,21 @@ def gosper_series_coeffs(b: float) -> list[float]:
 # per-identity evaluation routes
 
 
-def _geo_eval(cfg: EngineConfig, q: complex, x: complex):
-    lhs = frac_sum_right(fams.geom(q), 0.0, x, cfg).value
+def _geo_eval(q: complex, x: complex):
+    lhs = frac_sum_right(fams.geom(q), 0.0, x).value
     rhs = (1.0 - q ** (x + 1.0)) / (1.0 - q)
     return lhs, rhs, ""
 
 
-def _binom_eval(cfg: EngineConfig, c: complex, x: complex):
-    lhs = frac_sum_right(fams.binom(c, x), 0.0, c, cfg).value
+def _binom_eval(c: complex, x: complex):
+    lhs = frac_sum_right(fams.binom(c, x), 0.0, c).value
     rhs = cmath.exp(c * cmath.log(1.0 + x))
     return lhs, rhs, ""
 
 
-def _sermul_eval(cfg: EngineConfig, x: complex):
+def _sermul_eval(x: complex):
     q1, q2 = 0.5, 0.3
-    lhs = frac_sum_right(fams.sermul_combined(q1, q2), 1.0, x, cfg).value
+    lhs = frac_sum_right(fams.sermul_combined(q1, q2), 1.0, x).value
 
     def geo_sum(q: float) -> complex:
         return (q - q ** (x + 1.0)) / (1.0 - q)
@@ -298,50 +295,50 @@ def _sermul_eval(cfg: EngineConfig, x: complex):
     return lhs, geo_sum(q1) * geo_sum(q2), ""
 
 
-def _gamma_eval(cfg: EngineConfig, z: complex):
-    lhs = frac_product(fams.identity_factor(), 1.0, z, cfg).value
+def _gamma_eval(z: complex):
+    lhs = frac_product(fams.identity_factor(), 1.0, z).value
     return lhs, cmath.exp(log_gamma(z + 1.0)), ""
 
 
-def _tanh_eval(cfg: EngineConfig):
-    lhs = frac_product(fams.tanh_factor(), 1.0, -0.5, cfg).value
+def _tanh_eval():
+    lhs = frac_product(fams.tanh_factor(), 1.0, -0.5).value
     return lhs, complex(math.tanh(math.pi)), ""
 
 
-def _harm_eval(cfg: EngineConfig, x: complex):
-    lhs = frac_sum_right(fams.recip(), 1.0, x, cfg).value
+def _harm_eval(x: complex):
+    lhs = frac_sum_right(fams.recip(), 1.0, x).value
     rhs = CONSTANTS.euler_gamma + digamma(x + 1.0)
     note = "Euler value -2 ln 2" if x == -0.5 else ""
     return lhs, rhs, note
 
 
-def _refl_eval(cfg: EngineConfig, x: complex):
+def _refl_eval(x: complex):
     x = x.real
-    lhs = frac_sum_right(fams.recip(), x, -x, cfg).value
+    lhs = frac_sum_right(fams.recip(), x, -x).value
     return lhs, complex(math.pi / math.tan(math.pi * x)), ""
 
 
-def _hurw_eval(cfg: EngineConfig, a: complex, x: complex):
-    lhs = frac_sum_right(fams.power(a), 1.0, x, cfg).value
+def _hurw_eval(a: complex, x: complex):
+    lhs = frac_sum_right(fams.power(a), 1.0, x).value
     rhs = riemann_zeta(-a) - hurwitz_zeta(-a, x + 1.0)
     return lhs, rhs, ""
 
 
-def _zhalf_eval(cfg: EngineConfig, a: complex):
-    lhs = frac_sum_right(fams.power(a), 1.0, -0.5, cfg).value
+def _zhalf_eval(a: complex):
+    lhs = frac_sum_right(fams.power(a), 1.0, -0.5).value
     rhs = (2.0 - 2.0 ** (-a)) * riemann_zeta(-a)
     note = "implies zeta(-1) = -1/12" if a == 1.0 else ""
     return lhs, rhs, note
 
 
-def _vlnv_eval(cfg: EngineConfig):
-    lhs = frac_sum_right(fams.vlnv(), 1.0, -0.5, cfg).value
+def _vlnv_eval():
+    lhs = frac_sum_right(fams.vlnv(), 1.0, -0.5).value
     rhs = complex(-_LN2 / 24.0 - 1.5 * CONSTANTS.zeta_prime_minus1)
     return lhs, rhs, ""
 
 
-def _lngam_eval(cfg: EngineConfig, part: complex):
-    s = frac_sum_right(fams.log_summand(), 1.0, -0.5, cfg).value
+def _lngam_eval(part: complex):
+    s = frac_sum_right(fams.log_summand(), 1.0, -0.5).value
     if part == 0:
         return s, complex(0.5 * math.log(math.pi)), "ln Gamma(1/2)"
     # Differentiating the half-terms power sum in the exponent gives
@@ -351,9 +348,9 @@ def _lngam_eval(cfg: EngineConfig, part: complex):
     return lhs, rhs, "recovered zeta'(0)"
 
 
-def _leftp_eval(cfg: EngineConfig, z: complex):
+def _leftp_eval(z: complex):
     z = int(z.real)
-    lhs = frac_sum_left(fams.power(float(z)), 1.0, -0.5, cfg).value
+    lhs = frac_sum_left(fams.power(float(z)), 1.0, -0.5).value
     rhs = (-1.0) ** (z + 1) * (2.0 - 2.0 ** (-z)) * riemann_zeta(-float(z))
     return lhs, rhs, ""
 
@@ -367,47 +364,47 @@ _MIRROR_CASES: tuple[tuple[str, Callable[[], object], complex, complex], ...] = 
 )
 
 
-def _mirror_eval(cfg: EngineConfig, case: complex):
+def _mirror_eval(case: complex):
     key, ctor, a, b = _MIRROR_CASES[int(case.real)]
-    mc = mirror_check(ctor(), a, b, cfg)
+    mc = mirror_check(ctor(), a, b)
     return mc.right.value, mc.left.value, key
 
 
-def _oddp_eval(cfg: EngineConfig, x: complex, n: complex):
+def _oddp_eval(x: complex, n: complex):
     lhs = poly_sum(Polynomial.monomial(2 * int(n.real) + 1), x, -x)
     return lhs, 0j, ""
 
 
-def _bd_eval(cfg: EngineConfig, x: complex):
+def _bd_eval(x: complex):
     x = x.real
-    s = frac_sum_right(fams.bd_term(x), 1.0, -0.5, cfg).value
+    s = frac_sum_right(fams.bd_term(x), 1.0, -0.5).value
     lhs = cmath.exp(-x - s)
     rhs = complex(bd_closed_form(x))
     finite = ", ".join(f"n={n}:{bd_finite_product(x, n)!r}" for n in (1, 10, 50, 500))
     return lhs, rhs, f"finite[{finite}]"
 
 
-def _zpp_eval(cfg: EngineConfig, x: complex):
+def _zpp_eval(x: complex):
     x = x.real
-    s = frac_sum_right(fams.zpp_term(x), 1.0, -0.5, cfg).value
+    s = frac_sum_right(fams.zpp_term(x), 1.0, -0.5).value
     lhs = cmath.exp(s)
     rhs = complex(zpp_closed_form(x))
     finite = ", ".join(f"n={n}:{zpp_bracket(x, n)!r}" for n in (10, 100, 1000))
     return lhs, rhs, f"finite[{finite}]"
 
 
-def _g2_eval(cfg: EngineConfig, z: complex):
+def _g2_eval(z: complex):
     z = z.real
     if z == 0.0:
         # special value G(1/2) through the nu ln nu sum
-        s = frac_sum_right(fams.vlnv(), 1.0, -0.5, cfg).value
+        s = frac_sum_right(fams.vlnv(), 1.0, -0.5).value
         lhs = cmath.exp(-0.5 * log_gamma(0.5) - s)
         rhs = complex(
             math.pi**-0.25 * 2.0 ** (1.0 / 24.0) * math.exp(1.5 * CONSTANTS.zeta_prime_minus1)
         )
         return lhs, rhs, "G(1/2)"
     # ln G(z) via the double sum; the inner sum in closed log-Gamma form
-    lhs = frac_sum_right(fams.ln_gamma_summand(), 1.0, z - 1.0, cfg).value
+    lhs = frac_sum_right(fams.ln_gamma_summand(), 1.0, z - 1.0).value
     rhs = complex(
         (z - 1.0) * log_gamma(z).real
         + CONSTANTS.zeta_prime_minus1
@@ -416,15 +413,15 @@ def _g2_eval(cfg: EngineConfig, z: complex):
     return lhs, rhs, "ln G"
 
 
-def _xprod_eval(cfg: EngineConfig, case: complex):
+def _xprod_eval(case: complex):
     which = int(case.real)
     if which == 0:
-        s = frac_sum_right(fams.ln_gamma_2nu(), 1.0, -0.5, cfg).value
+        s = frac_sum_right(fams.ln_gamma_2nu(), 1.0, -0.5).value
         lhs = cmath.exp(s)
         rhs = complex((math.pi / 2.0) ** 0.25)
         return lhs, rhs, "(2n)! product"
     if which == 1:
-        s = frac_sum_right(fams.lognu_lnfact(), 1.0, -0.5, cfg).value
+        s = frac_sum_right(fams.lognu_lnfact(), 1.0, -0.5).value
         lhs = cmath.exp(s)
         g = CONSTANTS.euler_gamma
         rhs = complex(
@@ -437,7 +434,7 @@ def _xprod_eval(cfg: EngineConfig, case: complex):
             )
         )
         return lhs, rhs, "(n!)^(ln n) product"
-    s = frac_sum_right(fams.nu_lnfact(), 0.25, -0.25, cfg).value
+    s = frac_sum_right(fams.nu_lnfact(), 0.25, -0.25).value
     lhs = cmath.exp(s)
     rhs = complex(
         math.exp(
@@ -471,13 +468,13 @@ def _gosper_termwise(b: float) -> float:
     return -val
 
 
-def _gosper_eval(cfg: EngineConfig, b: complex, route: complex):
+def _gosper_eval(b: complex, route: complex):
     b = b.real
     rhs = complex(math.pi * math.sin(b) / (2.0 * b))
     if route == 0:
         return complex(_gosper_series(b)), rhs, "series"
     if route == 1:
-        s = frac_sum_right(fams.gosper_term(b), 0.75, -0.75, cfg).value
+        s = frac_sum_right(fams.gosper_term(b), 0.75, -0.75).value
         return -s, rhs, "engine"
     return complex(_gosper_termwise(b)), rhs, "termwise"
 
@@ -703,7 +700,7 @@ def get_identity(identity_id: str) -> Identity:
         ) from None
 
 
-def run_identity(identity_id: str, cfg: EngineConfig = DEFAULT_CONFIG) -> IdentityReport:
+def run_identity(identity_id: str) -> IdentityReport:
     """Sweep one identity's grid and assemble its report.
 
     Engine errors at a grid point are recorded on that point's record and do
@@ -718,7 +715,7 @@ def run_identity(identity_id: str, cfg: EngineConfig = DEFAULT_CONFIG) -> Identi
     for pt in ident.points:
         label = _label(pt)
         try:
-            lhs, rhs, note = ident.evaluate(cfg, **dict(pt))
+            lhs, rhs, note = ident.evaluate(**dict(pt))
         except FracsumError as exc:
             records.append(PointRecord(
                 identity=ident.id, point=label,
@@ -750,9 +747,9 @@ def run_identity(identity_id: str, cfg: EngineConfig = DEFAULT_CONFIG) -> Identi
     )
 
 
-def run_all(cfg: EngineConfig = DEFAULT_CONFIG) -> tuple[IdentityReport, ...]:
+def run_all() -> tuple[IdentityReport, ...]:
     """Run every registered identity in registration order."""
-    return tuple(run_identity(i, cfg) for i in identity_ids())
+    return tuple(run_identity(i) for i in identity_ids())
 
 
 _FIGURES = {

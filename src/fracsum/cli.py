@@ -19,7 +19,7 @@ from .catalog import (
     run_identity,
 )
 from .engine import (
-    EngineConfig,
+    DEFAULT_TOL,
     SumResult,
     frac_product,
     frac_sum_left,
@@ -61,17 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _engine_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n-start", type=int, default=None,
-                    help="first level size n0 (default 64)")
-    sp.add_argument("--levels", type=int, default=None,
-                    help="most doubling levels a sum runs (default 8)")
-    sp.add_argument("--order", type=int, default=None,
-                    help="Richardson eliminations (default 4)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="convergence tolerance (default 1e-8)")
-
-
 def _output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", choices=("plain", "json", "csv"),
                     default="plain", help="output format")
@@ -95,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="upper bound, complex literal A[+-Bi]")
         sp.add_argument("--direction", choices=("right", "left"),
                         default="right", help="tail direction (default right)")
-        _engine_flags(sp)
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="target of converged (default %(default)s)")
         _output_flags(sp)
 
     sp = sub.add_parser("identity-run", help="run identities against closed forms")
     sp.add_argument("--id", default=None, dest="identity",
                     help="identity id (default: all)")
-    _engine_flags(sp)
     _output_flags(sp)
 
     sp = sub.add_parser("identity-list", help="list registered identities")
@@ -112,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", default=None,
                     help="CSV destination (default stdout)")
     return p
-
-
-def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    flags = {"n_start": args.n_start, "n_levels": args.levels,
-             "extrap_order": args.order, "tol": args.tol}
-    return EngineConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -154,27 +137,24 @@ def _format_result(res: SumResult, mode: str) -> str:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     f = from_spec(args.f)
     x, y = parse_complex(args.from_), parse_complex(args.to)
     run = frac_sum_left if args.direction == "left" else frac_sum_right
-    _emit(_format_result(run(f, x, y, cfg), args.output), args.path)
+    _emit(_format_result(run(f, x, y, tol=args.tol), args.output), args.path)
     return 0
 
 
 def _cmd_prod(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     f = factor_from_spec(args.f)
     x, y = parse_complex(args.from_), parse_complex(args.to)
-    res = frac_product(f, x, y, cfg, left=args.direction == "left")
+    res = frac_product(f, x, y, tol=args.tol, left=args.direction == "left")
     _emit(_format_result(res, args.output), args.path)
     return 0
 
 
 def _cmd_identity_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     ids = identity_ids() if args.identity is None else (args.identity,)
-    reports = [run_identity(i, cfg) for i in ids]
+    reports = [run_identity(i) for i in ids]
     if args.output == "plain":
         text = "\n\n".join(r.to_text() for r in reports)
     elif args.output == "json":

@@ -9,14 +9,17 @@ offset n), then
                   + sum_{nu=1}^{n} (f(nu+x-1) - f(nu+y)) ]   (classical)
 
 for right sums; left sums replace n -> -n with tails running downward. The
-limit is discretized on at most n_levels doubling levels n_j = n0 * 2^j and
-accelerated by Richardson extrapolation, in one pass over that schedule: the
-orbit of the whole schedule is checked against the summand's domain before
-any term is evaluated, the polynomial part of every level is computed once,
-and each level run adds one row to a single Richardson tableau. The loop
-stops at the first level after which no deeper level prefix could be the
-one kept. A fractional product is exp of the fractional sum of ln g, the
-logarithm of its factor g; its summand is that logarithm.
+limit is discretized on the doubling levels of SCHEDULE, n_j = 64 * 2^j for
+j < 8, and accelerated by RICHARDSON_ORDER (4) Richardson eliminations, in
+one pass over that schedule: the orbit of the whole schedule is checked
+against the summand's domain before any term is evaluated, the polynomial
+part of every level is computed once, and each level run adds one row to a
+single Richardson tableau. The loop stops at the first level after which no
+deeper level prefix could be the one kept. The schedule is how the engine
+approximates the value the axioms fix, not a setting; the caller's one
+setting is tol, the target of converged. A fractional product is exp of the
+fractional sum of ln g, the logarithm of its factor g; its summand is that
+logarithm.
 
 Numerical notes that matter here:
 
@@ -52,9 +55,10 @@ from .polycore import Polynomial, poly_sum
 
 __all__ = [
     "SIGMA_NEG_INF",
+    "SCHEDULE",
+    "RICHARDSON_ORDER",
+    "DEFAULT_TOL",
     "Summand",
-    "EngineConfig",
-    "DEFAULT_CONFIG",
     "SumResult",
     "MirrorCheck",
     "approx_poly",
@@ -69,6 +73,12 @@ __all__ = [
 # Sentinel for summands with f(n+z) -> 0: the approximating polynomial is
 # identically zero and no Taylor data is needed.
 SIGMA_NEG_INF = float("-inf")
+
+# The doubling levels n_j of the defining limit, the Richardson eliminations
+# applied over them, and the default target of converged.
+SCHEDULE = tuple(64 << j for j in range(8))
+RICHARDSON_ORDER = 4
+DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -119,48 +129,14 @@ class Summand:
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Discretization of the defining limit.
-
-    Levels are n_j = n_start * 2^j for j < n_levels, at most, the deepest at
-    most 2^20 (128 times the default 8,192); extrap_order Richardson
-    eliminations are applied to the level values; tol is the target
-    absolute-or-relative error for the converged flag, positive and finite.
-    """
-
-    n_start: int = 64
-    n_levels: int = 8
-    extrap_order: int = 4
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.n_start < 1:
-            raise ParameterError(f"n_start must be >= 1, got {self.n_start}")
-        if self.n_levels < 2:
-            raise ParameterError(f"n_levels must be >= 2, got {self.n_levels}")
-        # the deepest level, n_levels first so that no huge shift is built
-        if self.n_levels > 21 or self.n_start << (self.n_levels - 1) > 2**20:
-            raise ParameterError("n_start * 2^(n_levels - 1) must be at most 2^20, got "
-                                 f"{self.n_start} * 2^{self.n_levels - 1}")
-        if not 0 <= self.extrap_order < self.n_levels:
-            raise ParameterError(
-                f"extrap_order must be in [0, n_levels), got {self.extrap_order}"
-            )
-        if not 0 < self.tol < math.inf:  # also rejects nan
-            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
-
-
-DEFAULT_CONFIG = EngineConfig()
-
-
-@dataclass(frozen=True)
 class SumResult:
     """Outcome of one engine evaluation.
 
-    levels holds the raw values (n_j, S(n_j)) of the levels run, before
-    extrapolation, for diagnostics. n_used is the n of the kept level, the
-    count of classical terms a closed route evaluated, or 0 for an exact
-    polynomial. converged means err_estimate <= tol * max(1, |value|).
+    levels holds the raw values (n_j, S(n_j)) of the levels run, a prefix of
+    SCHEDULE, before extrapolation, for diagnostics. n_used is the n of the
+    kept level, the count of classical terms a closed route evaluated, or 0
+    for an exact polynomial. converged means err_estimate <= tol * max(1,
+    |value|), for the tol the sum was asked for.
     """
 
     value: complex
@@ -189,21 +165,26 @@ def richardson_extrapolate(
     T[j][k] = T[j][k-1] + (T[j][k-1] - T[j-1][k-1]) / (2^{p+k-1} - 1).
 
     Args:
-        levels: (n, value) pairs with n strictly doubling.
+        levels: (n, value) pairs with n >= 1 strictly doubling.
         order: number of eliminations; needs at least order+1 levels.
-        rate_hint: leading decay exponent p, may be non-integer.
+        rate_hint: leading decay exponent p > 0, may be non-integer.
 
     Returns:
         (final diagonal extrapolant, |difference of last two diagonal entries|).
 
     Raises:
-        ParameterError: too few levels or n not doubling.
+        ParameterError: too few levels, n below 1 or not doubling, or
+            rate_hint not positive.
     """
+    if not rate_hint > 0:  # also rejects nan, as Summand does
+        raise ParameterError(f"rate_hint must be positive, got {rate_hint}")
     if order < 0:
         raise ParameterError(f"order must be >= 0, got {order}")
     if len(levels) < order + 1:
         raise ParameterError(f"need at least {order + 1} levels, got {len(levels)}")
     ns = [n for n, _ in levels]
+    if ns[0] < 1:  # doubling carries n >= 1 to every later level
+        raise ParameterError(f"levels need n >= 1, got {ns[0]}")
     for a, b in zip(ns, ns[1:]):
         if b != 2 * a:
             raise ParameterError(f"levels must double: {a} -> {b}")
@@ -305,24 +286,26 @@ def _fsum(vals: np.ndarray) -> float | complex:
         return math.nan
 
 
-def _result(value: complex, err: float, n_used: int, levels: Sequence, cfg: EngineConfig) -> SumResult:
+def _result(value: complex, err: float, n_used: int, levels: Sequence, tol: float) -> SumResult:
     """The one exit of every sum route: a value that is not finite is a
     DomainError, and converged means the error bar is within tol."""
     if not np.isfinite(value):
         raise DomainError(f"the sum is not finite: {value}")
-    converged = bool(math.isfinite(err) and err <= cfg.tol * max(1.0, abs(value)))
+    converged = bool(math.isfinite(err) and err <= tol * max(1.0, abs(value)))
     return SumResult(value, err, n_used, converged, tuple(levels))
 
 
 # Overflow and inf - inf in the terms end as a DomainError below; numpy's
 # warnings would only repeat them on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: bool) -> SumResult:
+def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> SumResult:
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     x, y = complex(x), complex(y)
     if f.exact_poly is not None:
         # p_n == f at every center, so S(n_j) = poly_sum(f, x, y) identically
         # for every level (and for both tail directions).
-        return _result(poly_sum(f.exact_poly, x, y), 0.0, 0, (), cfg)
+        return _result(poly_sum(f.exact_poly, x, y), 0.0, 0, (), tol)
     # Between real bounds the orbit is real, and its points are float64.
     xo, yo = (x.real, y.real) if x.imag == y.imag == 0.0 else (x, y)
     delta = y - x
@@ -341,18 +324,17 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         else:
             pts, sign = yo + np.arange(1, 1 - m, dtype=float), -1.0
         if not pts.size:
-            return _result(0j, 0.0, 0, (), cfg)
+            return _result(0j, 0.0, 0, (), tol)
         _guard_check(f, pts)
         vals = np.asarray(f.eval(pts))
         err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
-        return _result(sign * complex(_fsum(vals)), err, pts.size, (), cfg)
-    # One pass over the schedule n_j = n_start * 2^j. The orbit of the whole
-    # schedule is checked against the domain before any evaluation: the stop
-    # below saves evaluations, not the domain, and an orbit that meets a pole
-    # or a cut past the stop still has no limit. Level j evaluates the orbit
-    # points past n_{j-1}: f is added at pos and subtracted at neg.
-    ns = [cfg.n_start << j for j in range(cfg.n_levels)]
-    last = ns[-1]
+        return _result(sign * complex(_fsum(vals)), err, pts.size, (), tol)
+    # One pass over the schedule. Its whole orbit is checked against the
+    # domain before any evaluation: the stop below saves evaluations, not the
+    # domain, and an orbit that meets a pole or a cut past the stop still has
+    # no limit. Level j evaluates the orbit points past n_{j-1}: f is added at
+    # pos and subtracted at neg.
+    ns, last = SCHEDULE, SCHEDULE[-1]
     if left:
         ks = np.arange(0, last, dtype=float)
         pos, neg = yo - ks, (xo - 1.0) - ks
@@ -369,7 +351,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
         centres = np.array(ns, dtype=float)  # -n as a real: its imaginary part is +0
         table = _taylor_table(f, (-centres if left else centres).astype(complex))
         poly = [sum(c * w for c, w in zip(col, weights)) for col in table.T.tolist()]
-    order, rate = cfg.extrap_order, f.rate_hint
+    order, rate = RICHARDSON_ORDER, f.rate_hint
     eps = float(np.finfo(float).eps)
     partials: list[complex] = []
     levels: list[tuple[int, complex]] = []
@@ -377,7 +359,7 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
     diag: list[complex] = []
     cancel_mag = 0.0
     term_sq = 0.0  # sum of |f|^2 over the points evaluated so far
-    value, err, m_used, kept_walk = None, math.inf, cfg.n_levels, math.inf
+    value, err, m_used, kept_walk = None, math.inf, len(ns), math.inf
     for j, (lo, n) in enumerate(zip([0, *ns], ns)):
         vals_pos = np.asarray(f.eval(pos[lo:n]))
         vals_neg = np.asarray(f.eval(neg[lo:n]))
@@ -430,56 +412,53 @@ def _run_levels(f: Summand, x: complex, y: complex, cfg: EngineConfig, left: boo
             cancel_mag = max(cancel_mag, abs(value - p_term) + abs(p_term))
         floor = 8.0 * eps * cancel_mag + kept_walk + 2 * last * math.ulp(0.0)
         err = max(err, floor)
-    return _result(value, err, ns[m_used - 1], levels, cfg)
+    return _result(value, err, ns[m_used - 1], levels, tol)
 
 
-def frac_sum_right(
-    f: Summand, x: complex, y: complex, cfg: EngineConfig = DEFAULT_CONFIG
-) -> SumResult:
+def frac_sum_right(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TOL) -> SumResult:
     """Right fractional sum of f over [x, y], tail limit toward +infinity.
 
     Per level: S(n) = poly_sum(p_n, n+x, n+y) + sum_{nu=1}^{n}
     (f(nu+x-1) - f(nu+y)), then Richardson extrapolation over the levels.
-    Non-convergence is reported through converged=False, never by fabricating
-    a value.
+    tol is the target of converged, positive and finite. Non-convergence is
+    reported through converged=False, never by fabricating a value.
 
     Raises:
+        ParameterError: tol is not positive and finite.
         DomainError: an orbit point fails the summand's domain guard, or the
             classical tail of a level, or the sum, is not finite.
     """
-    return _run_levels(f, x, y, cfg, left=False)
+    return _frac_sum(f, x, y, tol, left=False)
 
 
-def frac_sum_left(
-    f: Summand, x: complex, y: complex, cfg: EngineConfig = DEFAULT_CONFIG
-) -> SumResult:
+def frac_sum_left(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TOL) -> SumResult:
     """Left fractional sum: the tail limit runs toward -infinity.
 
     Per level: S(m) = poly_sum(p_{-m}, x-m, y-m) + sum_{k=0}^{m-1}
     (f(y-k) - f(x-1-k)). The summand's sigma/deriv must describe f toward
     -infinity.
     """
-    return _run_levels(f, x, y, cfg, left=True)
+    return _frac_sum(f, x, y, tol, left=True)
 
 
 @np.errstate(over="ignore")  # an overflowing product is inf, not converged
 def frac_product(
-    f: Summand, x: complex, y: complex, cfg: EngineConfig = DEFAULT_CONFIG,
-    *, left: bool = False,
+    f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TOL, left: bool = False,
 ) -> SumResult:
     """Fractional product over [x, y] of a factor g: exp of the fractional
     sum of ln g.
 
     f is the summand of ln g: its eval, sigma, deriv and domain_guard all
     describe nu -> ln g(nu). The factor families' guards raise BranchCutError
-    where g meets the cut of the principal log. left selects the left-tail sum.
+    where g meets the cut of the principal log. left selects the left-tail sum,
+    and tol is as in frac_sum_right.
     A product past the float range is inf with err_estimate inf, and is not
     converged; otherwise err_estimate is |value| times the sum's.
 
     Raises:
         DomainError: as frac_sum_right, BranchCutError from a factor's guard.
     """
-    res = (frac_sum_left if left else frac_sum_right)(f, x, y, cfg)
+    res = (frac_sum_left if left else frac_sum_right)(f, x, y, tol=tol)
     value = complex(np.exp(res.value))
     err = float(abs(value) * res.err_estimate) if np.isfinite(value) else math.inf
     return SumResult(value, err, res.n_used, res.converged and math.isfinite(err),
@@ -510,13 +489,13 @@ def reflected(f: Summand) -> Summand:
     )
 
 
-def mirror_check(f: Summand, a: complex, b: complex, cfg: EngineConfig = DEFAULT_CONFIG) -> MirrorCheck:
+def mirror_check(f: Summand, a: complex, b: complex) -> MirrorCheck:
     """Compare the right sum over [a, b] with the left sum of f(-nu) over [-b, -a].
 
     The two agree identically for the Taylor realization (the reflected
     Taylor data is the mirror image), so the difference measures only
     round-off and is a sharp internal consistency check.
     """
-    right = frac_sum_right(f, a, b, cfg)
-    left = frac_sum_left(reflected(f), -b, -a, cfg)
+    right = frac_sum_right(f, a, b)
+    left = frac_sum_left(reflected(f), -b, -a)
     return MirrorCheck(right=right, left=left, abs_diff=abs(right.value - left.value))

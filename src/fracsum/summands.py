@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .engine import SIGMA_NEG_INF, Summand
-from .errors import BranchCutError, DomainError, SummandSpecError
-from .polycore import Polynomial
+from .errors import BranchCutError, DomainError, ParameterError, SummandSpecError
+from .polycore import MAX_DEGREE, Polynomial
 from .specialfn import log_gamma, polygamma
 
 __all__ = [
@@ -82,11 +82,17 @@ def power(a: complex) -> Summand:
     * other complex a: the error carries an n^{i Im a} oscillation that
       extrapolation cannot eliminate, so sigma is raised until the raw
       remainder is negligible.
+
+    Raises:
+        ParameterError: integer a above MAX_DEGREE, before any coefficient
+            of the monomial is built.
     """
     a = complex(a)
     is_real = a.imag == 0.0
     is_int = is_real and a.real == round(a.real)
     if is_int and a.real >= 0:
+        if a.real > MAX_DEGREE:
+            raise ParameterError(f"pow:a={a.real:g}: polynomial degree exceeds cap {MAX_DEGREE}")
         return replace(poly_summand(Polynomial.monomial(int(a.real)).coeffs), label=f"pow:{a}")
     ra = _real(a)
 
@@ -555,15 +561,16 @@ def factor_from_spec(spec: str) -> Summand:
         SummandSpecError: malformed spec, or a family without factor form.
     """
     fam, args = _parse_spec(spec)
-    _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
-    if fam == "id":
-        return identity_factor()
     if fam == "pow":
-        # ln(nu^a) read as a ln nu, which does not wrap where nu^a crosses the cut
+        # ln(nu^a) read as a ln nu, which does not wrap where nu^a crosses the
+        # cut; nu^a itself is never built, so any finite a is a factor
         a = _real(args[0])
         lf = identity_factor()
         return replace(lf, eval=lambda pts: a * lf.eval(pts),
                        deriv=lambda k, t: a * lf.deriv(k, t), label=f"factor:{spec}")
+    _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
+    if fam == "id":
+        return identity_factor()
     if fam == "geom":
         # ln(q^nu) read as nu ln q, an exact polynomial in nu
         (q,) = args

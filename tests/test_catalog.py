@@ -20,7 +20,6 @@ from fracsum.catalog import (
     zpp_closed_form,
     zpp_closed_sum,
 )
-from fracsum.engine import EngineConfig
 from fracsum.errors import ParameterError, UnknownIdentityError
 
 ALL_IDS = (
@@ -79,19 +78,17 @@ def test_every_theorem_passes_at_defaults(all_reports):
             assert rep.all_pass is None
 
 
-def test_convergence_headroom():
-    # every theorem still clears half its registered tolerance with one
-    # extra level in the ladder
-    cfg = EngineConfig(n_levels=9)
-    for iid in ALL_IDS:
-        ident = get_identity(iid)
+def test_convergence_headroom(all_reports):
+    # every theorem clears half its registered tolerance, not just the
+    # tolerance itself
+    for rep in all_reports:
+        ident = get_identity(rep.identity)
         if ident.kind != "theorem":
             continue
-        rep = run_identity(iid, cfg)
         for rec in rep.records:
             bound = 0.5 * ident.tol * max(1.0, abs(rec.rhs))
             assert rec.abs_err <= bound, (
-                f"{iid} at {rec.point}: {rec.abs_err} > {bound}"
+                f"{rep.identity} at {rec.point}: {rec.abs_err} > {bound}"
             )
 
 

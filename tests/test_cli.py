@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from fracsum.catalog import figure_csv, format_complex, identity_ids
+from fracsum import catalog
+from fracsum.catalog import figure_csv, format_complex, get_identity, identity_ids
 from fracsum.cli import main
 
 
@@ -75,8 +77,7 @@ def test_bad_complex_literal_exits_one(capsys):
     ["sum", "--f", "geom:q=0.5", "--from", "nan", "--to", "1"],
     ["sum", "--f", "recip", "--from", "1", "--to=inf"],
     ["sum", "--f", "pow:a=nan", "--from", "1", "--to", "2"],
-    ["sum", "--f", "recip", "--from", "1", "--to", "-0.5", "--tol", "inf",
-     "--levels", "2", "--order", "1"],
+    ["sum", "--f", "recip", "--from", "1", "--to", "-0.5", "--tol", "inf"],
 ])
 def test_non_finite_literal_exits_one(capsys, argv):
     rc, _, err = run(capsys, argv)
@@ -121,20 +122,6 @@ def test_closed_sum_past_the_float_range_exits_one(capsys, argv):
     assert "not finite" in err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--n-start", "1000000000000000"],
-    ["--n-start", "10000000"],
-    ["--n-start", "16384"],
-    ["--levels", "200"],
-    ["--levels", "1000000000000"],
-])
-def test_schedule_past_two_to_the_twentieth_exits_one(capsys, flags):
-    rc, out, err = run(capsys, ["sum", "--f", "recip", "--from", "1", "--to", "0.5", *flags])
-    assert rc == 1
-    assert out == ""
-    assert "at most 2^20" in err
-
-
 def test_closed_route_prints_no_levels(capsys):
     rc, out, _ = run(capsys, ["sum", "--f", "poly:0,1", "--from", "1", "--to", "0.5",
                               "--output", "json"])
@@ -154,6 +141,14 @@ def test_bad_flag_exits_one(capsys):
     rc, _, err = run(capsys, ["sum", "--f", "recip", "--no-such-flag", "1"])
     assert rc == 1
     assert err != ""
+    # the level schedule is the engine's, and identity-run takes no tol
+    spec = ["--f", "recip", "--from", "1", "--to", "-0.5"]
+    for argv in (["sum", *spec, "--levels", "9"], ["sum", *spec, "--n-start", "32"],
+                 ["prod", "--f", "id", "--from", "1", "--to", "0.5", "--order", "2"],
+                 ["identity-run", "--tol", "1e-3"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, ""), argv
+        assert "unrecognized arguments" in err, argv
 
 
 def test_unknown_identity_exits_one(capsys):
@@ -174,21 +169,16 @@ def test_help_exits_zero(capsys):
     assert "sum" in out
 
 
-def test_crippled_config_exits_two(capsys):
-    rc, out, _ = run(
-        capsys,
-        [
-            "identity-run",
-            "--id",
-            "HURW",
-            "--n-start",
-            "1",
-            "--levels",
-            "3",
-            "--order",
-            "1",
-        ],
-    )
+def test_crippled_config_exits_two(capsys, monkeypatch):
+    # a HURW route that misses its closed form by 1e-3, far past its tol
+    ident = get_identity("HURW")
+
+    def off(**params):
+        lhs, rhs, note = ident.evaluate(**params)
+        return lhs + 1e-3, rhs, note
+
+    monkeypatch.setitem(catalog._REGISTRY, "HURW", replace(ident, evaluate=off))
+    rc, out, _ = run(capsys, ["identity-run", "--id", "HURW"])
     assert rc == 2
     assert "pass=false" in out
     assert "all_pass=false" in out
@@ -302,6 +292,17 @@ def test_prod_power_with_complex_exponent(capsys):
     got = complex(value_line(out).split()[1].replace("i", "j"))
     assert abs(got - (0.9626558301955944 - 0.0582066413989268j)) < 1e-12
     assert "converged true" in out
+
+
+def test_huge_integer_power(capsys):
+    # nu^(1e19) is a polynomial past the degree cap: one error line; the
+    # factor nu^100 is summed as 100 ln nu and builds no polynomial
+    rc, out, err = run(capsys, ["sum", "--f", "pow:a=1e19", "--from", "1", "--to", "2.5"])
+    assert (rc, out) == (1, "")
+    assert "exceeds cap" in err
+    rc, out, _ = run(capsys, ["prod", "--f", "pow:a=100", "--from", "1", "--to", "2.5"])
+    assert rc == 0
+    assert value_line(out) == "value 1.4375429895250728e+52"
 
 
 def test_prod_geometric_is_exact(capsys):

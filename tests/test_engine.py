@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracsum.engine import (
-    DEFAULT_CONFIG,
-    EngineConfig,
+    RICHARDSON_ORDER,
+    SCHEDULE,
     Summand,
     approx_poly,
     frac_product,
@@ -112,6 +112,11 @@ def test_richardson_constant_sequence_is_exact():
     got, err = richardson_extrapolate(levels, 2)
     assert got == v
     assert err == 0.0
+    # the rate must be positive, as Summand.rate_hint is: 0 and -1 would
+    # divide by 2^0 - 1 = 0 or flip the elimination, nan would give nan
+    for rate in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="rate_hint"):
+            richardson_extrapolate(levels, 2, rate)
 
 
 def test_richardson_eliminates_leading_inverse_power():
@@ -126,6 +131,10 @@ def test_richardson_needs_order_plus_one_levels():
     levels = [(64, 1.0), (128, 1.0), (256, 1.0)]
     with pytest.raises(ParameterError):
         richardson_extrapolate(levels, 3)
+    # n = 0 doubles to itself, and a negative n doubles downward
+    for bad in ([(0, 1.0), (0, 1.0)], [(-1, 1.0), (-2, 1.0)], [(0, 1.0)]):
+        with pytest.raises(ParameterError, match="n >= 1"):
+            richardson_extrapolate(bad, 0)
 
 
 def test_harmonic_interval_at_default_levels():
@@ -243,10 +252,11 @@ def test_near_integer_length_is_an_integer_length():
 
 
 def test_levels_are_doubling_diagnostics():
-    cfg = EngineConfig(n_start=32, n_levels=6)
-    res = frac_sum_right(recip(), 1.0, -0.5, cfg)
-    assert len(res.levels) == 6
-    assert [n for n, _ in res.levels] == [32 << j for j in range(6)]
+    assert SCHEDULE == tuple(64 << j for j in range(8))
+    res = frac_sum_right(recip(), 1.0, -0.5)
+    ns = [n for n, _ in res.levels]
+    assert len(ns) > RICHARDSON_ORDER
+    assert tuple(ns) == SCHEDULE[:len(ns)]
 
 
 # (summand, x, y, left, value, n_used, converged, stops): running every
@@ -269,7 +279,7 @@ def test_early_stop_keeps_value_and_prefix(f, x, y, left, value, n_used, converg
     res = (frac_sum_left if left else frac_sum_right)(f, x, y)
     assert (res.value, res.n_used, res.converged) == (value, n_used, converged)
     if stops:
-        assert len(res.levels) < DEFAULT_CONFIG.n_levels
+        assert len(res.levels) < len(SCHEDULE)
 
 
 # err_estimate of each EARLY_STOP_CASES entry, in order. Running every level
@@ -296,8 +306,7 @@ def test_early_stop_keeps_err_and_kept_extrapolant(case, err):
     # kept prefix must be what extrapolating that prefix alone gives (for
     # power(0.5) the kept prefix is 6 of the 7 levels run)
     m = [n for n, _ in res.levels].index(res.n_used) + 1
-    order = DEFAULT_CONFIG.extrap_order
-    assert res.value == richardson_extrapolate(res.levels[:m], order, f.rate_hint)[0]
+    assert res.value == richardson_extrapolate(res.levels[:m], RICHARDSON_ORDER, f.rate_hint)[0]
 
 
 def test_early_stop_saves_orbit_points():
@@ -324,7 +333,7 @@ def test_domain_error_past_the_stop_is_still_raised():
         return geom(2.0).eval(pts)
 
     f = replace(geom(2.0), eval=counted, domain_guard=lambda pts: pts.real > -1500.0)
-    assert len(frac_sum_left(geom(2.0), 0.3, 1.45).levels) < DEFAULT_CONFIG.n_levels
+    assert len(frac_sum_left(geom(2.0), 0.3, 1.45).levels) < len(SCHEDULE)
     with pytest.raises(DomainError):
         frac_sum_left(f, 0.3, 1.45)
     assert calls == []
@@ -382,11 +391,12 @@ def test_level_partials_are_math_fsum_bit_for_bit(n):
 
 
 def test_non_convergence_is_flagged_not_fabricated():
-    cfg = EngineConfig(n_start=1, n_levels=3, extrap_order=1, tol=1e-12)
-    res = frac_sum_right(recip(), 1.0, -0.5, cfg)
+    # the default schedule claims 3.6e-15 here, so it cannot meet 1e-16
+    tol = 1e-16
+    res = frac_sum_right(recip(), 1.0, -0.5, tol=tol)
     assert not res.converged
     assert math.isfinite(res.value.real)
-    assert res.err_estimate > cfg.tol
+    assert res.err_estimate > tol
 
 
 @pytest.mark.parametrize("f, error", [(log_summand(), DomainError),
@@ -728,24 +738,15 @@ def test_taylor_degree_choice_does_not_move_the_value():
 
 
 def test_engine_config_validation():
-    with pytest.raises(ParameterError):
-        EngineConfig(n_start=0)
-    with pytest.raises(ParameterError):
-        EngineConfig(n_levels=1)
-    with pytest.raises(ParameterError):
-        EngineConfig(n_levels=4, extrap_order=4)
-    with pytest.raises(ParameterError):
-        EngineConfig(tol=0.0)
-    with pytest.raises(ParameterError):
-        EngineConfig(tol=math.nan)
-    with pytest.raises(ParameterError):
-        EngineConfig(tol=math.inf)
-    # the deepest level n_start * 2^(n_levels - 1) is at most 2^20
-    EngineConfig(n_start=2**13, n_levels=8)
-    EngineConfig(n_start=1, n_levels=21)
-    for n_start, n_levels in ((2**14, 8), (1, 22), (10**15, 8), (64, 200), (64, 10**12)):
-        with pytest.raises(ParameterError, match="at most 2\\^20"):
-            EngineConfig(n_start=n_start, n_levels=n_levels)
+    # tol, the engine's one setting, is positive and finite, on the limit
+    # route and the closed ones alike
+    for tol in (0.0, math.nan, math.inf):
+        for f, y in ((recip(), -0.5), (power(2.0), -0.5), (recip(), 3.0)):
+            with pytest.raises(ParameterError, match="tol"):
+                frac_sum_right(f, 1.0, y, tol=tol)
+    # and only by name
+    with pytest.raises(TypeError):
+        frac_sum_right(recip(), 1.0, -0.5, 1e-3)
 
 
 def test_summand_validation():

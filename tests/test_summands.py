@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fracsum import summands
-from fracsum.engine import DEFAULT_CONFIG, SIGMA_NEG_INF, frac_sum_left
-from fracsum.errors import DomainError, SummandSpecError
+from fracsum.engine import SCHEDULE, SIGMA_NEG_INF, frac_sum_left
+from fracsum.errors import DomainError, ParameterError, SummandSpecError
+from fracsum.polycore import MAX_DEGREE
 
 
 def _fd(ev, t: complex, k: int):
@@ -66,8 +67,7 @@ def test_derivatives_match_finite_differences(f, center, orders):
         assert all(f.deriv(k, center) == 0 for k in range(len(f.exact_poly.coeffs), 9))
     # the engine asks for each order once, at all the tail centers of the
     # schedule together; that must be the scalar calls, elementwise
-    centers = np.array([DEFAULT_CONFIG.n_start << j for j in range(DEFAULT_CONFIG.n_levels)],
-                       dtype=complex)
+    centers = np.array(SCHEDULE, dtype=complex)
     for k in range(int(f.sigma) + 1 if orders else 0):
         got = np.broadcast_to(f.deriv(k, centers), centers.shape)
         assert [complex(g) for g in got] == [complex(f.deriv(k, complex(c))) for c in centers], k
@@ -104,6 +104,11 @@ def test_power_integer_declares_exact_polynomial():
     assert f.exact_poly.coeffs == (0j, 0j, 0j, 1 + 0j)
     assert summands.power(0.5).exact_poly is None
     assert summands.power(-1.5).sigma == SIGMA_NEG_INF
+    # the degree is capped before a coefficient list of its length is built
+    assert summands.power(MAX_DEGREE).exact_poly.degree == MAX_DEGREE
+    for a in (MAX_DEGREE + 1, 1e19, 1e300):
+        with pytest.raises(ParameterError, match="exceeds cap"):
+            summands.power(a)
 
 
 def test_power_negative_real_axis_guard():
