@@ -14,12 +14,18 @@ j < 8, and accelerated by RICHARDSON_ORDER (4) Richardson eliminations, in
 one pass over that schedule: the orbit of the whole schedule is checked
 against the summand's domain before any term is evaluated, the polynomial
 part of every level is computed once, and each level run adds one row to a
-single Richardson tableau. The loop stops at the first level after which no
-deeper level prefix could be the one kept. The schedule is how the engine
-approximates the value the axioms fix, not a setting; the caller's one
-setting is tol, the target of converged. A fractional product is exp of the
-fractional sum of ln g, the logarithm of its factor g; its summand is that
-logarithm.
+single Richardson tableau. The loop stops at whichever comes first:
+* a level whose value S(n) equals the value of the level before it bit for
+  bit, as a geometric tail soon gives. That level is kept, and its claim is
+  the rounding floor alone. The stop assumes that once a level's terms add
+  less than half an ulp to S(n), the terms further out add less again. That
+  holds for every built-in family: where a family's terms fall that low,
+  they decay along the rest of the tail;
+* a level after which no deeper level prefix could be the one kept.
+The schedule is how the engine approximates the value the axioms fix, not a
+setting; the caller's one setting is tol, the target of converged. A
+fractional product is exp of the fractional sum of ln g, the logarithm of
+its factor g; its summand is that logarithm.
 
 Numerical notes that matter here:
 
@@ -133,10 +139,12 @@ class SumResult:
     """Outcome of one engine evaluation.
 
     levels holds the raw values (n_j, S(n_j)) of the levels run, a prefix of
-    SCHEDULE, before extrapolation, for diagnostics. n_used is the n of the
-    kept level, the count of classical terms a closed route evaluated, or 0
-    for an exact polynomial. converged means err_estimate <= tol * max(1,
-    |value|), for the tol the sum was asked for.
+    SCHEDULE, before extrapolation, for diagnostics; a tail that stops on two
+    equal levels runs only two of them. n_used is the n of the kept level
+    (for that stop, the level that matched the one before it), the count of
+    classical terms a closed route evaluated, or 0 for an exact polynomial.
+    converged means err_estimate <= tol * max(1, |value|), for the tol the
+    sum was asked for.
     """
 
     value: complex
@@ -375,6 +383,11 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         walk = 2.0 * eps * math.sqrt(term_sq)
         cancel_mag = max(cancel_mag, abs(tail) + abs(poly[j]))
         levels.append((n, tail + poly[j]))
+        # A level whose terms leave S(n) unchanged has reached the limit: the
+        # terms further out add less again (see the module notes).
+        if j and levels[-1][1] == levels[-2][1]:
+            value, err, m_used, kept_walk = levels[-1][1], 0.0, j + 1, walk
+            break
         # diag[j] extrapolates the first j + 1 levels (see the module notes)
         row = _richardson_row(row, levels[-1][1], order, rate)
         diag.append(row[-1])

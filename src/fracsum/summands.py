@@ -84,15 +84,16 @@ def power(a: complex) -> Summand:
       remainder is negligible.
 
     Raises:
-        ParameterError: integer a above MAX_DEGREE, before any coefficient
-            of the monomial is built.
+        ParameterError: a polynomial degree or a Taylor degree sigma above
+            MAX_DEGREE, before any coefficient is built.
     """
     a = complex(a)
     is_real = a.imag == 0.0
     is_int = is_real and a.real == round(a.real)
+    name = f"pow:a={a.real:g}" + ("" if is_real else f"{a.imag:+g}i")
     if is_int and a.real >= 0:
         if a.real > MAX_DEGREE:
-            raise ParameterError(f"pow:a={a.real:g}: polynomial degree exceeds cap {MAX_DEGREE}")
+            raise ParameterError(f"{name}: polynomial degree exceeds cap {MAX_DEGREE}")
         return replace(poly_summand(Polynomial.monomial(int(a.real)).coeffs), label=f"pow:{a}")
     ra = _real(a)
 
@@ -113,6 +114,8 @@ def power(a: complex) -> Summand:
             label=f"pow:{a}",
         )
     sig = math.floor(a.real) + (1 if is_real else 3)
+    if sig > MAX_DEGREE:
+        raise ParameterError(f"{name}: Taylor degree {sig} exceeds cap {MAX_DEGREE}")
     return Summand(
         eval=ev,
         sigma=sig,

@@ -255,22 +255,25 @@ def test_levels_are_doubling_diagnostics():
     assert SCHEDULE == tuple(64 << j for j in range(8))
     res = frac_sum_right(recip(), 1.0, -0.5)
     ns = [n for n, _ in res.levels]
+    # an algebraic tail changes S(n) at every level: no equal-level stop
     assert len(ns) > RICHARDSON_ORDER
     assert tuple(ns) == SCHEDULE[:len(ns)]
 
 
 # (summand, x, y, left, value, n_used, converged, stops): running every
-# level of the schedule gave these bits; stopping once no deeper level prefix
-# can be kept must give them too, and the cases marked stops run fewer levels.
+# level of the schedule gave these value and converged bits; stopping once no
+# deeper level prefix can be kept, or at two equal levels, must give them too,
+# and the cases marked stops run fewer levels. The geometric tails of binom
+# and the left geom(2) stop on equal levels, at n_used 128.
 EARLY_STOP_CASES = [
     (lnfact(), 1.0, 0.5, False, complex(-0.053850349202296775, 0.0), 1024, True, True),
     (ln_gamma_2nu(), 0.7, 1.45, False, complex(1.6896409339418026, 0.0), 1024, True, False),
     (nu_lnfact(), 1.0, 0.5, False, complex(-0.048953839809496254, 0.0), 1024, False, False),
-    (binom(2.5, 0.3), 0.0, 2.5, False, complex(1.926896468417544, 0.0), 1024, True, True),
+    (binom(2.5, 0.3), 0.0, 2.5, False, complex(1.926896468417544, 0.0), 128, True, True),
     (vlnv(), 1.0, 0.5, False, complex(-0.12732300724632184, 0.0), 1024, True, False),
     (power(0.5), 0.3, 1.45, False, complex(1.8938722560102539, 0.0), 2048, True, False),
     (recip(), 1.0, -0.5, False, complex(-1.3862943611198906, 0.0), 2048, True, False),
-    (geom(2.0), 0.3, 1.45, True, complex(4.233016613672666, 0.0), 1024, True, False),
+    (geom(2.0), 0.3, 1.45, True, complex(4.233016613672666, 0.0), 128, True, True),
 ]
 
 
@@ -302,6 +305,10 @@ def test_early_stop_keeps_err_and_kept_extrapolant(case, err):
     f, x, y, left = EARLY_STOP_CASES[case][:4]
     res = (frac_sum_left if left else frac_sum_right)(f, x, y)
     assert res.err_estimate == err
+    if len(res.levels) <= RICHARDSON_ORDER:
+        # too few levels for the tableau: the loop stopped on two equal levels
+        assert res.value == res.levels[-1][1] == res.levels[-2][1]
+        return
     # the engine grows one tableau a row per level; its diagonal entry for the
     # kept prefix must be what extrapolating that prefix alone gives (for
     # power(0.5) the kept prefix is 6 of the 7 levels run)
@@ -322,8 +329,43 @@ def test_early_stop_saves_orbit_points():
     assert sum(points) <= 2 * 4096
 
 
+# (summand, x, y, value): geometric tails whose second level leaves S(n)
+# unchanged; running every level of the schedule gave these value bits
+AGREEMENT_STOP_CASES = [
+    (geom(0.5), 1.0, 0.5, complex(0.2928932188134525, 0.0)),
+    (binom(2.5, 0.3), 0.0, 2.5, complex(1.926896468417544, 0.0)),
+    (sermul_combined(0.5, 0.3), 1.0, 0.5, complex(0.05677242682672632, 0.0)),
+]
+
+
+@pytest.mark.parametrize("f, x, y, value", AGREEMENT_STOP_CASES)
+def test_agreement_stop_keeps_the_value_after_two_levels(f, x, y, value):
+    points = []
+
+    def counted(pts):
+        points.append(len(pts))
+        return f.eval(pts)
+
+    res = frac_sum_right(replace(f, eval=counted), x, y)
+    assert res.value == value
+    assert res.converged
+    assert (len(res.levels), res.n_used) == (2, SCHEDULE[1])
+    assert res.levels[0][1] == res.levels[1][1] == value
+    assert sum(points) <= 2 * SCHEDULE[1]
+
+
+def test_slow_geometric_tail_converges():
+    # q^nu decays so slowly that extrapolating all 8 levels folded their
+    # rounding in (6.4e-10 off, claiming 1.8e-6, not converged); the levels
+    # agree by n = 4096
+    q, x, y = 0.9693293708638758, 1.3, 2.1
+    res = frac_sum_right(geom(q), x, y)
+    assert res.converged
+    assert abs(res.value - (q**x - q ** (y + 1)) / (1 - q)) < 1e-13
+
+
 def test_domain_error_past_the_stop_is_still_raised():
-    # the left geom(2) sum over [0.3, 1.45] stops after the level n = 1024,
+    # the left geom(2) sum over [0.3, 1.45] stops after the level n = 128,
     # and the guard fails only at n > 1500; the whole schedule's orbit is
     # checked before any term is evaluated
     calls = []

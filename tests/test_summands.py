@@ -2,6 +2,7 @@
 and the CLI spec grammar."""
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,13 @@ def test_power_integer_declares_exact_polynomial():
     assert summands.power(MAX_DEGREE).exact_poly.degree == MAX_DEGREE
     for a in (MAX_DEGREE + 1, 1e19, 1e300):
         with pytest.raises(ParameterError, match="exceeds cap"):
+            summands.power(a)
+    # so is a noninteger exponent's Taylor degree sigma: floor(Re a) + 1, + 3
+    # if complex
+    assert summands.power(63.5).sigma == summands.power(61.5 + 1j).sigma == MAX_DEGREE
+    names = {64.5: "pow:a=64.5", 62.5 + 1j: "pow:a=62.5+1i", 1e300 - 1j: "pow:a=1e+300-1i"}
+    for a, name in names.items():
+        with pytest.raises(ParameterError, match=re.escape(name) + ": Taylor degree"):
             summands.power(a)
 
 
