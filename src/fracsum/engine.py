@@ -39,12 +39,12 @@ Numerical notes that matter here:
 * The closed routes, an exact polynomial's poly_sum and an integer length's
   classical loop, run no level: they report levels = () and n_used the
   classical terms they evaluated (0 for a polynomial).
-* Classical tails are reused incrementally across levels: each level adds
-  the correctly rounded sum (math.fsum) of its new terms as one partial,
-  and the tail is the math.fsum of the partials. Long levels reach the same
-  double through an exact split in numpy first (_exact_sum), so a deep
-  level costs little more than evaluating its terms. A tail that is not
-  finite (a summand growing past the float range) is a DomainError.
+* Classical tails are reused incrementally across levels: each level's new
+  terms are summed by numpy's pairwise sum into one partial, and the tail
+  is the running sum of the partials. Both err by a few ulp of what they
+  sum, inside the rounding floor below (8 eps of the cancelling magnitude
+  plus the terms' random walk). A tail that is not finite (a summand
+  growing past the float range) is a DomainError.
 * A tableau row depends only on the row before it, so the diagonal entry of
   a level prefix is, bit for bit, the extrapolant of that prefix alone.
 """
@@ -249,51 +249,6 @@ def _guard_check(f: Summand, pts: np.ndarray) -> None:
         raise DomainError(f"summand undefined at orbit point {bad}", bad)
 
 
-# From this many values on, _exact_sum beats math.fsum over a Python list.
-_SPLIT_MIN = 1024
-
-
-def _exact_sum(a: np.ndarray) -> float:
-    """math.fsum(a), most of it done in numpy.
-
-    Two passes of Rump, Ogita and Oishi's ExtractVector: with sigma = 2^k
-    above 2 len(a) max|a|, (a + sigma) - sigma is the high part of each
-    value on a grid of spacing 2^(k-53), and the rest is exact. Every
-    partial sum of the high parts is a multiple of that spacing below
-    sigma, so numpy adds them exactly in any order; the rests are at most
-    the spacing, and the second pass splits them the same way. fsum of the
-    two exact sums and the nonzero rests has the same exact total as a, so
-    it rounds to the same double.
-    """
-    m = float(np.max(np.abs(a)))
-    if not 2.0**-900 < m < 2.0**900:  # zeros, inf, nan, or near the exponent limits
-        if m == 0.0 and not np.signbit(a).any():
-            return 0.0
-        return math.fsum(a.tolist())
-    grow = (2 * a.size).bit_length()  # 2^grow > 2 len(a)
-    k = math.frexp(m)[1] + grow
-    highs, rest = [], a
-    for _ in range(2):
-        sigma = math.ldexp(1.0, k)
-        high = (rest + sigma) - sigma
-        rest = rest - high
-        highs.append(float(high.sum()))
-        k += grow - 53  # the rests are at most 2^(k-53)
-    return math.fsum([*highs, *rest[rest != 0.0].tolist()])
-
-
-def _fsum(vals: np.ndarray) -> float | complex:
-    """Correctly rounded sum: of real values as one part, of complex values
-    real and imaginary parts apart. nan where math.fsum meets inf - inf or
-    overflows."""
-    if vals.dtype.kind == "c":
-        return complex(_fsum(vals.real), _fsum(vals.imag))
-    try:
-        return math.fsum(vals.tolist()) if vals.size < _SPLIT_MIN else _exact_sum(vals)
-    except (ValueError, OverflowError):
-        return math.nan
-
-
 def _result(value: complex, err: float, n_used: int, levels: Sequence, tol: float) -> SumResult:
     """The one exit of every sum route: a value that is not finite is a
     DomainError, and converged means the error bar is within tol."""
@@ -336,7 +291,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         _guard_check(f, pts)
         vals = np.asarray(f.eval(pts))
         err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
-        return _result(sign * complex(_fsum(vals)), err, pts.size, (), tol)
+        return _result(sign * complex(vals.sum()), err, pts.size, (), tol)
     # One pass over the schedule. Its whole orbit is checked against the
     # domain before any evaluation: the stop below saves evaluations, not the
     # domain, and an orbit that meets a pole or a cut past the stop still has
@@ -361,18 +316,16 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         poly = [sum(c * w for c, w in zip(col, weights)) for col in table.T.tolist()]
     order, rate = RICHARDSON_ORDER, f.rate_hint
     eps = float(np.finfo(float).eps)
-    partials: list[complex] = []
     levels: list[tuple[int, complex]] = []
     row: list[complex] = []  # the newest row of the Richardson tableau
     diag: list[complex] = []
-    cancel_mag = 0.0
+    tail, cancel_mag = 0j, 0.0
     term_sq = 0.0  # sum of |f|^2 over the points evaluated so far
     value, err, m_used, kept_walk = None, math.inf, len(ns), math.inf
     for j, (lo, n) in enumerate(zip([0, *ns], ns)):
         vals_pos = np.asarray(f.eval(pos[lo:n]))
         vals_neg = np.asarray(f.eval(neg[lo:n]))
-        partials.append(_fsum(vals_pos - vals_neg))
-        tail = _fsum(np.array(partials))
+        tail = tail + complex((vals_pos - vals_neg).sum())
         if not np.isfinite(tail):
             raise DomainError(f"the classical tail is not finite at level n = {n}")
         term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)

@@ -42,6 +42,8 @@ class BranchCutError(DomainError):
 class UnknownIdentityError(FracsumError, KeyError):
     """Lookup of an identity id that is not registered."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class SummandSpecError(FracsumError, ValueError):
     """A summand family spec string could not be parsed."""

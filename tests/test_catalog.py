@@ -60,8 +60,11 @@ def test_registry_lists_every_identity_in_order():
 
 
 def test_unknown_identity_is_rejected():
-    with pytest.raises(UnknownIdentityError):
+    with pytest.raises(UnknownIdentityError) as info:
         get_identity("NOPE")
+    # still a KeyError, whose message is printed as it is, without quotes
+    assert isinstance(info.value, KeyError)
+    assert str(info.value).startswith("unknown identity 'NOPE'; known: GEO, ")
     with pytest.raises(UnknownIdentityError):
         run_identity("NOPE")
 

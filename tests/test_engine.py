@@ -232,6 +232,21 @@ def test_integer_length_interval_is_classical():
     assert res.converged
 
 
+def test_long_integer_length_sums_stay_inside_the_claim():
+    # 2,000,000 terms, the longest integer length the closed route takes:
+    # the rounding of summing them must stay inside err_estimate
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        cases = [
+            (recip(), 0.3, mpmath.digamma(mpmath.mpf(0.3) + 2000000) - mpmath.digamma(0.3)),
+            (power(-0.5), 1.5, mpmath.zeta(0.5, 1.5) - mpmath.zeta(0.5, 2000001.5)),
+        ]
+        for f, x, want in cases:
+            res = frac_sum_right(f, x, x + 1999999.0)
+            assert res.n_used == 2_000_000
+            assert abs(res.value - complex(want)) <= res.err_estimate, f.label
+
+
 def test_empty_and_reversed_intervals():
     assert frac_sum_right(recip(), 1.0, 0.0).value == 0j
     # splitting forces sum over [x, y] = -(sum over [y+1, x-1]):
@@ -268,11 +283,11 @@ def test_levels_are_doubling_diagnostics():
 EARLY_STOP_CASES = [
     (lnfact(), 1.0, 0.5, False, complex(-0.053850349202296775, 0.0), 1024, True, True),
     (ln_gamma_2nu(), 0.7, 1.45, False, complex(1.6896409339418026, 0.0), 1024, True, False),
-    (nu_lnfact(), 1.0, 0.5, False, complex(-0.048953839809496254, 0.0), 1024, False, False),
-    (binom(2.5, 0.3), 0.0, 2.5, False, complex(1.926896468417544, 0.0), 128, True, True),
+    (nu_lnfact(), 1.0, 0.5, False, complex(-0.04895383980949413, 0.0), 1024, False, False),
+    (binom(2.5, 0.3), 0.0, 2.5, False, complex(1.9268964684175443, 0.0), 128, True, True),
     (vlnv(), 1.0, 0.5, False, complex(-0.12732300724632184, 0.0), 1024, True, False),
-    (power(0.5), 0.3, 1.45, False, complex(1.8938722560102539, 0.0), 2048, True, False),
-    (recip(), 1.0, -0.5, False, complex(-1.3862943611198906, 0.0), 2048, True, False),
+    (power(0.5), 0.3, 1.45, False, complex(1.893872256010223, 0.0), 2048, True, False),
+    (recip(), 1.0, -0.5, False, complex(-1.3862943611198904, 0.0), 2048, True, False),
     (geom(2.0), 0.3, 1.45, True, complex(4.233016613672666, 0.0), 128, True, True),
 ]
 
@@ -295,7 +310,7 @@ EARLY_STOP_ERRS = [
     3.9830153966137055e-15,
     2.0973090720320198e-10,
     1.597899037035964e-12,
-    3.6016020234228024e-15,
+    3.601602023422802e-15,
     8.95545251106078e-15,
 ]
 
@@ -333,8 +348,8 @@ def test_early_stop_saves_orbit_points():
 # unchanged; running every level of the schedule gave these value bits
 AGREEMENT_STOP_CASES = [
     (geom(0.5), 1.0, 0.5, complex(0.2928932188134525, 0.0)),
-    (binom(2.5, 0.3), 0.0, 2.5, complex(1.926896468417544, 0.0)),
-    (sermul_combined(0.5, 0.3), 1.0, 0.5, complex(0.05677242682672632, 0.0)),
+    (binom(2.5, 0.3), 0.0, 2.5, complex(1.9268964684175443, 0.0)),
+    (sermul_combined(0.5, 0.3), 1.0, 0.5, complex(0.05677242682672631, 0.0)),
 ]
 
 
@@ -390,46 +405,10 @@ def test_domain_error_past_the_stop_is_still_raised():
     ],
 )
 def test_overflowing_left_sum_is_a_domain_error(f, x, y):
-    # these tails grow toward -infinity until a level partial overflows: to a
-    # NaN, past math.fsum's range, or to inf - inf inside it
+    # these tails grow toward -infinity until a level partial overflows: to
+    # inf, or to inf - inf inside it
     with pytest.raises(DomainError, match="level n = "):
         frac_sum_left(f, x, y)
-
-
-def _fsum_cases(n):
-    rng = np.random.default_rng(n)
-    wide = rng.standard_normal(n) * np.exp2(rng.integers(-300, 300, n))
-    half = rng.standard_normal(n // 2) * np.exp2(rng.integers(-60, 60, n // 2))
-    cancel = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
-    tie = np.zeros(n)
-    tie[:3] = 1.0, 2.0**-53, -(2.0**-106)
-    cases = {
-        f"one sign, like magnitudes {i}": (1.0 + rng.random(n)) * (1.0 - 1j) for i in range(8)
-    }
-    return cases | {
-        "wide": wide + 1j * rng.permutation(wide),
-        "exact zero real part, negative zero imaginary parts": cancel - 0j,
-        "round-to-even tie": tie + 1j * np.full(n, -0.0),
-        "geometric decay into underflow": np.exp(np.arange(n) * (-0.9 + 0.5j)),
-        "inf": np.append(wide[:-1], np.inf) + 0j,
-    }
-
-
-@pytest.mark.parametrize("n", [1023, 1024, 4097])
-def test_level_partials_are_math_fsum_bit_for_bit(n):
-    from fracsum.engine import _fsum
-
-    for name, vals in _fsum_cases(n).items():
-        want = (math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-        got = _fsum(vals)
-        assert (got.real.hex(), got.imag.hex()) == tuple(w.hex() for w in want), name
-        # a real orbit's values are float64 and sum as one part
-        for part, w in zip((vals.real, vals.imag), want):
-            got = _fsum(np.ascontiguousarray(part))
-            assert type(got) is float and got.hex() == w.hex(), name
-    # where math.fsum raises, for inf - inf or an overflowing partial, _fsum is nan
-    for pair in ([np.inf, -np.inf], [1.5e308, 1.5e308]):
-        assert math.isnan(_fsum(np.append(np.ones(n - 2), pair)))
 
 
 def test_non_convergence_is_flagged_not_fabricated():
