@@ -16,6 +16,7 @@ from .catalog import (
     format_complex,
     get_identity,
     identity_ids,
+    run_all,
     run_identity,
 )
 from .engine import (
@@ -136,25 +137,21 @@ def _format_result(res: SumResult, mode: str) -> str:
     )
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
-    f = from_spec(args.f)
+def _cmd_sum_or_prod(args: argparse.Namespace) -> int:
+    prod = args.command == "prod"
+    f = (factor_from_spec if prod else from_spec)(args.f)
     x, y = parse_complex(args.from_), parse_complex(args.to)
-    run = frac_sum_left if args.direction == "left" else frac_sum_right
-    _emit(_format_result(run(f, x, y, tol=args.tol), args.output), args.path)
-    return 0
-
-
-def _cmd_prod(args: argparse.Namespace) -> int:
-    f = factor_from_spec(args.f)
-    x, y = parse_complex(args.from_), parse_complex(args.to)
-    res = frac_product(f, x, y, tol=args.tol, left=args.direction == "left")
+    left = args.direction == "left"
+    if prod:
+        res = frac_product(f, x, y, tol=args.tol, left=left)
+    else:
+        res = (frac_sum_left if left else frac_sum_right)(f, x, y, tol=args.tol)
     _emit(_format_result(res, args.output), args.path)
     return 0
 
 
 def _cmd_identity_run(args: argparse.Namespace) -> int:
-    ids = identity_ids() if args.identity is None else (args.identity,)
-    reports = [run_identity(i) for i in ids]
+    reports = run_all() if args.identity is None else (run_identity(args.identity),)
     if args.output == "plain":
         text = "\n\n".join(r.to_text() for r in reports)
     elif args.output == "json":
@@ -200,8 +197,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 _HANDLERS = {
-    "sum": _cmd_sum,
-    "prod": _cmd_prod,
+    "sum": _cmd_sum_or_prod,
+    "prod": _cmd_sum_or_prod,
     "identity-run": _cmd_identity_run,
     "identity-list": _cmd_identity_list,
     "figure": _cmd_figure,

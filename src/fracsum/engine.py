@@ -51,7 +51,7 @@ Numerical notes that matter here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,14 +60,12 @@ from .errors import DomainError, ParameterError
 from .polycore import Polynomial, poly_sum
 
 __all__ = [
-    "SIGMA_NEG_INF",
     "SCHEDULE",
     "RICHARDSON_ORDER",
     "DEFAULT_TOL",
     "Summand",
     "SumResult",
     "MirrorCheck",
-    "approx_poly",
     "frac_sum_right",
     "frac_sum_left",
     "frac_product",
@@ -75,10 +73,6 @@ __all__ = [
     "reflected",
     "richardson_extrapolate",
 ]
-
-# Sentinel for summands with f(n+z) -> 0: the approximating polynomial is
-# identically zero and no Taylor data is needed.
-SIGMA_NEG_INF = float("-inf")
 
 # The doubling levels n_j of the defining limit, the Richardson eliminations
 # applied over them, and the default target of converged.
@@ -96,16 +90,16 @@ class Summand:
     summand that is complex on the real axis must promote real points itself
     (as summands.binom does); a real evaluation of it gives NaN, which ends
     in a DomainError, never in a silently real value. sigma is the
-    asymptotic degree: the Taylor polynomial of f of this degree at the tail
-    center makes f - p_n vanish along the tail; SIGMA_NEG_INF (or any
-    sigma <= -1) means p_n = 0. deriv(order, points) returns d^order f
-    elementwise over a complex numpy array (all tail centers in one call), or
-    a constant; it is required for sigma >= 1, and without it a sigma = 0
-    summand takes its value from eval. domain_guard(points) -> bool array
-    marks points where f is defined; a guard may instead raise a DomainError
-    subclass to name the fault. rate_hint is the expected leading error
-    decay exponent p in n^{-p} (1 unless stated), used by Richardson
-    extrapolation.
+    asymptotic degree, an integer: the Taylor polynomial of f of this degree
+    at the tail center makes f - p_n vanish along the tail; -1, the default,
+    means p_n = 0, for a summand with f(n+z) -> 0. deriv(order, points)
+    returns d^order f elementwise over a complex numpy array (all tail
+    centers in one call), or a constant; it is required for sigma >= 1, and
+    without it a sigma = 0 summand takes its value from eval.
+    domain_guard(points) -> bool array marks points where f is defined; a
+    guard may instead raise a DomainError subclass to name the fault.
+    rate_hint is the expected leading error decay exponent p in n^{-p} (1
+    unless stated), used by Richardson extrapolation.
 
     exact_poly declares that f IS this polynomial. Then p_n reproduces f
     identically and every level value equals poly_sum(f, x, y) by continued
@@ -114,10 +108,12 @@ class Summand:
     noise the mathematics does not have).
 
     A product's summand is the logarithm of its factor; see frac_product.
+    The product's converged follows SumResult's rule, with the product's own
+    value and err_estimate.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    sigma: float = SIGMA_NEG_INF
+    sigma: int = -1
     deriv: Callable[[int, np.ndarray], np.ndarray | complex] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
     rate_hint: float = 1.0
@@ -126,8 +122,8 @@ class Summand:
 
     def __post_init__(self):
         s = self.sigma
-        if s != SIGMA_NEG_INF and (not float(s).is_integer() or s < -1):
-            raise ParameterError(f"sigma must be an integer >= -1 or SIGMA_NEG_INF, got {s}")
+        if not isinstance(s, int) or s < -1:
+            raise ParameterError(f"sigma must be an integer >= -1, got {s}")
         if s >= 1 and self.deriv is None:
             raise ParameterError(f"sigma = {s} needs deriv for the Taylor coefficients")
         if not self.rate_hint > 0:  # also rejects nan
@@ -144,7 +140,8 @@ class SumResult:
     (for that stop, the level that matched the one before it), the count of
     classical terms a closed route evaluated, or 0 for an exact polynomial.
     converged means err_estimate <= tol * max(1, |value|), for the tol the
-    sum was asked for.
+    sum was asked for. The rule holds for products too, with err_estimate
+    the product's error (see frac_product).
     """
 
     value: complex
@@ -221,23 +218,7 @@ def _taylor_table(f: Summand, centres: np.ndarray) -> np.ndarray:
     if f.deriv is None:
         return np.asarray(f.eval(centres), dtype=complex)[None]
     return np.array([np.full(centres.shape, f.deriv(k, centres), dtype=complex) / math.factorial(k)
-                     for k in range(int(f.sigma) + 1)])
-
-
-def approx_poly(f: Summand, n: complex) -> Polynomial:
-    """The approximating polynomial p_n: degree-sigma Taylor of f at n, in nu.
-
-    p_n(nu) = sum_{k<=sigma} f^(k)(n) (nu-n)^k / k!. Requires sigma >= 0;
-    for the SIGMA_NEG_INF sentinel the engine uses the zero polynomial
-    without calling this.
-
-    Raises:
-        ParameterError: sigma < 0.
-    """
-    if f.sigma < 0:
-        raise ParameterError("approx_poly needs sigma >= 0")
-    centered = Polynomial.of(*_taylor_table(f, np.array([n], dtype=complex))[:, 0])
-    return centered.shift(-n)
+                     for k in range(f.sigma + 1)])
 
 
 def _guard_check(f: Summand, pts: np.ndarray) -> None:
@@ -249,13 +230,17 @@ def _guard_check(f: Summand, pts: np.ndarray) -> None:
         raise DomainError(f"summand undefined at orbit point {bad}", bad)
 
 
+def _converged(value: complex, err: float, tol: float) -> bool:
+    """The SumResult contract: the error bar is finite and within tol."""
+    return bool(math.isfinite(err) and err <= tol * max(1.0, abs(value)))
+
+
 def _result(value: complex, err: float, n_used: int, levels: Sequence, tol: float) -> SumResult:
     """The one exit of every sum route: a value that is not finite is a
-    DomainError, and converged means the error bar is within tol."""
+    DomainError, and converged is decided by _converged."""
     if not np.isfinite(value):
         raise DomainError(f"the sum is not finite: {value}")
-    converged = bool(math.isfinite(err) and err <= tol * max(1.0, abs(value)))
-    return SumResult(value, err, n_used, converged, tuple(levels))
+    return SumResult(value, err, n_used, _converged(value, err, tol), tuple(levels))
 
 
 # Overflow and inf - inf in the terms end as a DomainError below; numpy's
@@ -310,7 +295,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     # for the levels run and for the floor's share of the skipped ones.
     poly = [0j] * len(ns)
     if f.sigma >= 0:
-        weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(int(f.sigma) + 1)]
+        weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(f.sigma + 1)]
         centres = np.array(ns, dtype=float)  # -n as a real: its imaginary part is +0
         table = _taylor_table(f, (-centres if left else centres).astype(complex))
         poly = [sum(c * w for c, w in zip(col, weights)) for col in table.T.tolist()]
@@ -418,8 +403,9 @@ def frac_product(
     describe nu -> ln g(nu). The factor families' guards raise BranchCutError
     where g meets the cut of the principal log. left selects the left-tail sum,
     and tol is as in frac_sum_right.
-    A product past the float range is inf with err_estimate inf, and is not
-    converged; otherwise err_estimate is |value| times the sum's.
+    err_estimate is the product's error, |value| times the sum's, and
+    converged holds the SumResult rule for it. A product past the float
+    range is inf with err_estimate inf, and is not converged.
 
     Raises:
         DomainError: as frac_sum_right, BranchCutError from a factor's guard.
@@ -427,7 +413,7 @@ def frac_product(
     res = (frac_sum_left if left else frac_sum_right)(f, x, y, tol=tol)
     value = complex(np.exp(res.value))
     err = float(abs(value) * res.err_estimate) if np.isfinite(value) else math.inf
-    return SumResult(value, err, res.n_used, res.converged and math.isfinite(err),
+    return SumResult(value, err, res.n_used, _converged(value, err, tol),
                      tuple((n, complex(np.exp(v))) for n, v in res.levels))
 
 
@@ -444,12 +430,11 @@ def reflected(f: Summand) -> Summand:
         ep = Polynomial.of(
             *((-1.0) ** k * c for k, c in enumerate(f.exact_poly.coeffs))
         )
-    return Summand(
+    return replace(
+        f,
         eval=lambda pts: np.asarray(f.eval(-pts)),
-        sigma=f.sigma,
         deriv=d,
         domain_guard=g,
-        rate_hint=f.rate_hint,
         exact_poly=ep,
         label=f"{f.label}(-nu)" if f.label else "",
     )

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import SIGMA_NEG_INF, Summand
+from .engine import Summand
 from .errors import BranchCutError, DomainError, ParameterError, SummandSpecError
 from .polycore import MAX_DEGREE, Polynomial
 from .specialfn import log_gamma, polygamma
@@ -61,10 +61,9 @@ def _nonzero(pts: np.ndarray) -> np.ndarray:
 
 
 def recip() -> Summand:
-    """f(nu) = 1/nu; decays, so sigma is the -infinity sentinel."""
+    """f(nu) = 1/nu; decays, so sigma is -1 (p_n = 0)."""
     return Summand(
         eval=lambda pts: 1.0 / pts,
-        sigma=SIGMA_NEG_INF,
         domain_guard=_nonzero,
         label="recip",
     )
@@ -76,7 +75,7 @@ def power(a: complex) -> Summand:
     sigma and the extrapolation rate depend on a:
 
     * integer a >= 0: a polynomial; Taylor of degree a is exact.
-    * Re a < 0: terms decay, sigma = -infinity, error ~ n^{Re a}.
+    * Re a < 0: terms decay, sigma = -1, error ~ n^{Re a}.
     * real non-integer a > 0: sigma = floor(a)+1, leading error
       ~ n^{a - sigma - 1}.
     * other complex a: the error carries an n^{i Im a} oscillation that
@@ -108,7 +107,6 @@ def power(a: complex) -> Summand:
     if a.real < 0:
         return Summand(
             eval=ev,
-            sigma=SIGMA_NEG_INF,
             domain_guard=_off_cut if not is_int else _nonzero,
             rate_hint=-a.real,
             label=f"pow:{a}",
@@ -191,7 +189,6 @@ def geom(q: complex) -> Summand:
     lq = _real(cmath.log(q))
     return Summand(
         eval=lambda pts: np.exp(pts * lq),
-        sigma=SIGMA_NEG_INF,
         label=f"geom:{q}",
     )
 
@@ -243,7 +240,7 @@ def binom(c: complex, x: complex) -> Summand:
         out[live] = v
         return out
 
-    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"binom:{complex(c)}:{x}")
+    return Summand(eval=ev, label=f"binom:{complex(c)}:{x}")
 
 
 def vlnv() -> Summand:
@@ -395,7 +392,7 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
     """Custom polynomial summand from ascending coefficients; Taylor is exact."""
     p = Polynomial.of(*coeffs)
     if p.degree == -math.inf:
-        return Summand(eval=lambda pts: np.zeros_like(pts), sigma=-1,
+        return Summand(eval=lambda pts: np.zeros_like(pts),
                        exact_poly=p, label="poly:0")
 
     def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
@@ -429,7 +426,7 @@ def sermul_combined(q1: complex, q2: complex) -> Summand:
         tail_f = q1 * (1.0 - np.exp((pts - 1.0) * l1)) / (1.0 - q1)
         return f * g + f * tail_g + g * tail_f
 
-    return Summand(eval=ev, sigma=SIGMA_NEG_INF, label=f"sermul:{complex(q1)}:{complex(q2)}")
+    return Summand(eval=ev, label=f"sermul:{complex(q1)}:{complex(q2)}")
 
 
 def gosper_term(b: float) -> Summand:
@@ -446,7 +443,6 @@ def gosper_term(b: float) -> Summand:
 
     return Summand(
         eval=ev,
-        sigma=SIGMA_NEG_INF,
         domain_guard=_nonzero,
         label=f"gosper:{b}",
     )

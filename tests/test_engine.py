@@ -18,7 +18,6 @@ from fracsum.engine import (
     RICHARDSON_ORDER,
     SCHEDULE,
     Summand,
-    approx_poly,
     frac_product,
     frac_sum_left,
     frac_sum_right,
@@ -143,34 +142,6 @@ def test_harmonic_interval_at_default_levels():
     res = frac_sum_right(recip(), 1.0, -0.5)
     assert res.converged
     assert abs(res.value - (-2.0 * math.log(2.0))) < 1e-10
-
-
-# ------------------------------------------------------------------ approx_poly
-
-
-def test_approx_poly_log_is_constant_at_center():
-    p = approx_poly(log_summand(), 100.0)
-    assert abs(p(55.5) - math.log(100.0)) < 1e-12
-    assert abs(p(171.25) - math.log(100.0)) < 1e-12
-
-
-def test_approx_poly_sqrt_degree_zero():
-    f = replace(power(0.5), sigma=0)
-    p = approx_poly(f, 1.0e4)
-    assert abs(p(123.0) - 100.0) < 1e-10
-
-
-def test_approx_poly_reproduces_polynomial():
-    p = approx_poly(power(2), 37.0)
-    coeffs = list(p.coeffs) + [0j] * (3 - len(p.coeffs))
-    assert abs(coeffs[0]) < 1e-9
-    assert abs(coeffs[1]) < 1e-9
-    assert abs(coeffs[2] - 1.0) < 1e-12
-
-
-def test_approx_poly_rejects_decaying_sigma():
-    with pytest.raises(ParameterError):
-        approx_poly(recip(), 64.0)
 
 
 # ------------------------------------------------------------------- right sums
@@ -539,6 +510,37 @@ def test_power_factor_with_complex_exponent(a):
         assert abs(res.value - want) <= 1e-10 * max(1.0, abs(want)), (a, x, y)
 
 
+def _product_past_the_log_sum_rule():
+    # ln of 1 * 2 * ... over [1, 5.5] is about 5.66, so at half the log sum's
+    # error bar the log sum converges while the product's own error bar,
+    # |value| times the sum's, misses tol * |value|
+    f = identity_factor()
+    tol = frac_sum_right(f, 1.0, 5.5).err_estimate / 2
+    assert frac_sum_right(f, 1.0, 5.5, tol=tol).converged
+    return frac_product(f, 1.0, 5.5, tol=tol), tol
+
+
+# route -> () -> (result, the tol it was asked for)
+CONVERGED_ROUTES = {
+    "right": lambda: (frac_sum_right(recip(), 1.0, -0.5, tol=1e-8), 1e-8),
+    "right-not-converged": lambda: (frac_sum_right(recip(), 1.0, -0.5, tol=1e-16), 1e-16),
+    "left": lambda: (frac_sum_left(geom(2.0), 0.3, 1.45, tol=1e-8), 1e-8),
+    "exact-polynomial": lambda: (frac_sum_right(power(2), 1.0, -0.5, tol=1e-8), 1e-8),
+    "integer-length": lambda: (frac_sum_right(recip(), 1.0, 4.0, tol=1e-8), 1e-8),
+    "integer-length-not-converged": lambda: (frac_sum_right(recip(), 1.0, 4.0, tol=1e-17), 1e-17),
+    "product": lambda: (frac_product(identity_factor(), 1.0, 0.5, tol=1e-8), 1e-8),
+    "product-past-the-log-sum-rule": _product_past_the_log_sum_rule,
+    "product-overflow": lambda: (frac_product(identity_factor(), 1.0, 200.5, tol=1e-8), 1e-8),
+}
+
+
+@pytest.mark.parametrize("route", CONVERGED_ROUTES)
+def test_converged_is_one_rule_on_every_route(route):
+    res, tol = CONVERGED_ROUTES[route]()
+    err = res.err_estimate
+    assert res.converged == (math.isfinite(err) and err <= tol * max(1.0, abs(res.value)))
+
+
 # ----------------------------------------------------------------- mirror check
 
 
@@ -771,8 +773,10 @@ def test_engine_config_validation():
 
 
 def test_summand_validation():
-    with pytest.raises(ParameterError):
-        Summand(eval=lambda pts: pts, sigma=0.5)
+    # sigma is an integer >= -1; -1, the default, is the zero polynomial
+    for sigma in (0.5, -math.inf, -2):
+        with pytest.raises(ParameterError, match="sigma"):
+            Summand(eval=lambda pts: pts, sigma=sigma)
     with pytest.raises(ParameterError):
         Summand(eval=lambda pts: pts, rate_hint=0.0)
     with pytest.raises(ParameterError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fracsum import summands
-from fracsum.engine import SCHEDULE, SIGMA_NEG_INF, frac_sum_left
+from fracsum.engine import SCHEDULE, frac_sum_left
 from fracsum.errors import DomainError, ParameterError, SummandSpecError
 from fracsum.polycore import MAX_DEGREE
 
@@ -69,7 +69,7 @@ def test_derivatives_match_finite_differences(f, center, orders):
     # the engine asks for each order once, at all the tail centers of the
     # schedule together; that must be the scalar calls, elementwise
     centers = np.array(SCHEDULE, dtype=complex)
-    for k in range(int(f.sigma) + 1 if orders else 0):
+    for k in range(f.sigma + 1 if orders else 0):
         got = np.broadcast_to(f.deriv(k, centers), centers.shape)
         assert [complex(g) for g in got] == [complex(f.deriv(k, complex(c))) for c in centers], k
 
@@ -93,7 +93,7 @@ def test_log_gamma_family_derivatives_match_mpmath(f, ref):
 
 def test_recip_values_and_sigma():
     f = summands.recip()
-    assert f.sigma == SIGMA_NEG_INF
+    assert f.sigma == -1
     vals = f.eval(np.array([2.0, -4.0, 1j], dtype=complex))
     assert vals[0] == pytest.approx(0.5)
     assert vals[2] == pytest.approx(-1j)
@@ -104,7 +104,7 @@ def test_power_integer_declares_exact_polynomial():
     assert f.exact_poly is not None
     assert f.exact_poly.coeffs == (0j, 0j, 0j, 1 + 0j)
     assert summands.power(0.5).exact_poly is None
-    assert summands.power(-1.5).sigma == SIGMA_NEG_INF
+    assert summands.power(-1.5).sigma == -1
     # the degree is capped before a coefficient list of its length is built
     assert summands.power(MAX_DEGREE).exact_poly.degree == MAX_DEGREE
     for a in (MAX_DEGREE + 1, 1e19, 1e300):
@@ -291,8 +291,8 @@ def test_from_spec_families():
     assert summands.from_spec("log").label == "log"
     assert summands.from_spec("id").label == "id"
     assert summands.from_spec("pow:a=0.5").sigma == 1
-    assert summands.from_spec("geom:q=0.5").sigma == SIGMA_NEG_INF
-    assert summands.from_spec("binom:c=2.5:x=0.3").sigma == SIGMA_NEG_INF
+    assert summands.from_spec("geom:q=0.5").sigma == -1
+    assert summands.from_spec("binom:c=2.5:x=0.3").sigma == -1
     p = summands.from_spec("poly:1,0,2")
     assert p.exact_poly is not None
     assert p.exact_poly.coeffs == (1 + 0j, 0j, 2 + 0j)
