@@ -99,7 +99,8 @@ class Summand:
     domain_guard(points) -> bool array marks points where f is defined; a
     guard may instead raise a DomainError subclass to name the fault.
     rate_hint is the expected leading error decay exponent p in n^{-p} (1
-    unless stated), used by Richardson extrapolation.
+    unless stated), used by Richardson extrapolation; it may be complex, as
+    a complex power's is, with Re p > 0.
 
     exact_poly declares that f IS this polynomial. Then p_n reproduces f
     identically and every level value equals poly_sum(f, x, y) by continued
@@ -116,9 +117,8 @@ class Summand:
     sigma: int = -1
     deriv: Callable[[int, np.ndarray], np.ndarray | complex] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
-    rate_hint: float = 1.0
+    rate_hint: float | complex = 1.0
     exact_poly: Polynomial | None = None
-    label: str = ""
 
     def __post_init__(self):
         s = self.sigma
@@ -126,8 +126,8 @@ class Summand:
             raise ParameterError(f"sigma must be an integer >= -1, got {s}")
         if s >= 1 and self.deriv is None:
             raise ParameterError(f"sigma = {s} needs deriv for the Taylor coefficients")
-        if not self.rate_hint > 0:  # also rejects nan
-            raise ParameterError(f"rate_hint must be positive, got {self.rate_hint}")
+        if not self.rate_hint.real > 0:  # also rejects nan
+            raise ParameterError(f"rate_hint must have Re > 0, got {self.rate_hint}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class MirrorCheck:
 
 
 def richardson_extrapolate(
-    levels: Sequence[tuple[int, complex]], order: int, rate_hint: float = 1.0
+    levels: Sequence[tuple[int, complex]], order: int, rate_hint: float | complex = 1.0
 ) -> tuple[complex, float]:
     """Accelerate a doubling-level sequence assuming error ~ c * n^{-p}.
 
@@ -172,17 +172,18 @@ def richardson_extrapolate(
     Args:
         levels: (n, value) pairs with n >= 1 strictly doubling.
         order: number of eliminations; needs at least order+1 levels.
-        rate_hint: leading decay exponent p > 0, may be non-integer.
+        rate_hint: leading decay exponent p, Re p > 0; may be non-integer
+            or complex.
 
     Returns:
         (final diagonal extrapolant, |difference of last two diagonal entries|).
 
     Raises:
         ParameterError: too few levels, n below 1 or not doubling, or
-            rate_hint not positive.
+            Re rate_hint not positive.
     """
-    if not rate_hint > 0:  # also rejects nan, as Summand does
-        raise ParameterError(f"rate_hint must be positive, got {rate_hint}")
+    if not rate_hint.real > 0:  # also rejects nan, as Summand does
+        raise ParameterError(f"rate_hint must have Re > 0, got {rate_hint}")
     if order < 0:
         raise ParameterError(f"order must be >= 0, got {order}")
     if len(levels) < order + 1:
@@ -202,7 +203,7 @@ def richardson_extrapolate(
     return diag[-1], err
 
 
-def _richardson_row(prev: list[complex], v: complex, order: int, rate: float) -> list[complex]:
+def _richardson_row(prev: list[complex], v: complex, order: int, rate: complex) -> list[complex]:
     """The tableau row of a new level value v, given the row of the level
     before it (empty for the first level): up to order eliminations."""
     row = [complex(v)]
@@ -436,7 +437,6 @@ def reflected(f: Summand) -> Summand:
         deriv=d,
         domain_guard=g,
         exact_poly=ep,
-        label=f"{f.label}(-nu)" if f.label else "",
     )
 
 

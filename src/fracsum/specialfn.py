@@ -296,14 +296,6 @@ class Constants:
     catalan_G: float
     zeta_prime_minus1: float
 
-    def __post_init__(self):
-        if not 0.5772 < self.euler_gamma < 0.5773:
-            raise ParameterError("euler_gamma literal out of range")
-        if not -0.0729 < self.stieltjes_gamma1 < -0.0728:
-            raise ParameterError("stieltjes_gamma1 literal out of range")
-        if not 0.9159 < self.catalan_G < 0.9160:
-            raise ParameterError("catalan_G literal out of range")
-
 
 # The gamma1 literal is stored negative (the standard value); quoted decimal
 # expansions sometimes omit the sign, and the catalog's exotic-product report

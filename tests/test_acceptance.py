@@ -237,7 +237,7 @@ def test_criterion_12_axiom_property_suites():
     assert fails == 0
 
     worst = 0.0
-    for f in CATALOG_SUMMANDS:
+    for f in CATALOG_SUMMANDS.values():
         for n in range(1, 21):
             loop = complex(
                 np.sum(np.asarray(f.eval(np.arange(1, n + 1, dtype=complex))))

@@ -60,6 +60,30 @@ def test_identity_run_all_default(capsys):
     assert "all_pass=n/a" in out  # the experiment entry
 
 
+def test_identity_run_json_and_csv_match_plain(capsys):
+    # the machine formats carry the records of the plain output, in order,
+    # and are as deterministic as it is
+    _, plain, _ = run(capsys, ["identity-run"])
+    records = [dict(kv.split("=", 1) for kv in line.split()[1:7])
+               for line in plain.splitlines() if line.startswith("record ")]
+    outs = {}
+    for fmt in ("json", "csv"):
+        rc, first, _ = run(capsys, ["identity-run", "--output", fmt])
+        _, second, _ = run(capsys, ["identity-run", "--output", fmt])
+        assert rc == 0 and first == second, fmt
+        outs[fmt] = first
+    reports = json.loads(outs["json"])["reports"]
+    assert len(reports) == len(identity_ids()) == 19
+    got = [{"id": rep["identity"], "point": r["point"],
+            "lhs_re": repr(r["lhs"][0]), "lhs_im": repr(r["lhs"][1]),
+            "rhs_re": repr(r["rhs"][0]), "rhs_im": repr(r["rhs"][1])}
+           for rep in reports for r in rep["records"]]
+    assert got == records
+    lines = outs["csv"].splitlines()
+    assert lines[0] == "identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass"
+    assert len(lines) == 1 + len(records)
+
+
 def test_unknown_family_exits_one(capsys):
     rc, out, err = run(capsys, ["sum", "--f", "nosuch", "--from", "1", "--to", "2"])
     assert rc == 1

@@ -111,9 +111,10 @@ def test_richardson_constant_sequence_is_exact():
     got, err = richardson_extrapolate(levels, 2)
     assert got == v
     assert err == 0.0
-    # the rate must be positive, as Summand.rate_hint is: 0 and -1 would
-    # divide by 2^0 - 1 = 0 or flip the elimination, nan would give nan
-    for rate in (0.0, -1.0, math.nan):
+    # the rate must have Re > 0, as Summand.rate_hint must: 0 and -1 would
+    # divide by 2^0 - 1 = 0 or flip the elimination, nan would give nan; a
+    # complex rate is compared by its real part
+    for rate in (0.0, -1.0, math.nan, 1j, -1 + 1j):
         with pytest.raises(ParameterError, match="rate_hint"):
             richardson_extrapolate(levels, 2, rate)
 
@@ -215,7 +216,7 @@ def test_long_integer_length_sums_stay_inside_the_claim():
         for f, x, want in cases:
             res = frac_sum_right(f, x, x + 1999999.0)
             assert res.n_used == 2_000_000
-            assert abs(res.value - complex(want)) <= res.err_estimate, f.label
+            assert abs(res.value - complex(want)) <= res.err_estimate, x
 
 
 def test_empty_and_reversed_intervals():
@@ -300,6 +301,36 @@ def test_early_stop_keeps_err_and_kept_extrapolant(case, err):
     # power(0.5) the kept prefix is 6 of the 7 levels run)
     m = [n for n, _ in res.levels].index(res.n_used) + 1
     assert res.value == richardson_extrapolate(res.levels[:m], RICHARDSON_ORDER, f.rate_hint)[0]
+
+
+def test_no_finite_claim_is_not_converged():
+    # a Taylor degree of 64 cancels from magnitudes past the float range at
+    # every level, so no prefix of the tableau gives a finite claim: the
+    # whole tableau is the result, with an infinite error bar
+    res = frac_sum_right(power(63.5), 1.0, 2.5)
+    assert res.err_estimate == math.inf
+    assert res.converged is False
+
+
+# (a, x, y): complex exponents, whose remainder carries n^(-i Im p); the first
+# is `fracsum sum --f pow:a=-1.5+0.7i --from 1 --to 0.5`
+COMPLEX_RATE_CASES = [
+    (-1.5 + 0.7j, 1.0, 0.5),
+    (0.29995489428987304 + 0.68235209676493j, 1.5534370049480164, 2.830693394171463),
+    (0.5501750142037902 + 0.5887667032162415j, 1.288664690974761, 2.13157225860859),
+]
+
+
+@pytest.mark.parametrize("a, x, y", COMPLEX_RATE_CASES,
+                         ids=["decaying", "growing-1", "growing-2"])
+def test_complex_power_extrapolates_with_its_complex_rate(a, x, y):
+    # sum_{nu=x}^{y} nu^a = zeta(-a, x) - zeta(-a, y + 1)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(-a, x) - mpmath.zeta(-a, y + 1))
+    res = frac_sum_right(power(a), x, y)
+    assert res.converged
+    assert abs(res.value - want) <= res.err_estimate
 
 
 def test_early_stop_saves_orbit_points():
@@ -647,29 +678,30 @@ def test_single_term_axiom(kind, q):
 
 # --------------------------------------------------------- classical agreement
 
-CATALOG_SUMMANDS = (
-    recip(),
-    power(0.5),
-    power(2),
-    power(1 + 1j),
-    log_summand(),
-    geom(0.5),
-    geom(0.9),
-    binom(2.5, 0.3),
-    vlnv(),
-    lnfact(),
-    ln_gamma_2nu(),
-    lognu_lnfact(),
-    nu_lnfact(),
-    zpp_term(0.5),
-    bd_term(1.0),
-    sermul_combined(0.5, 0.3),
-    gosper_term(1.0),
-    poly_summand((2.0, 0.0, 1.0)),
-)
+# pytest id -> summand, the id naming the family and its parameters
+CATALOG_SUMMANDS = {
+    "recip": recip(),
+    "pow:(0.5+0j)": power(0.5),
+    "pow:(2+0j)": power(2),
+    "pow:(1+1j)": power(1 + 1j),
+    "log": log_summand(),
+    "geom:(0.5+0j)": geom(0.5),
+    "geom:(0.9+0j)": geom(0.9),
+    "binom:(2.5+0j):(0.3+0j)": binom(2.5, 0.3),
+    "vlnv": vlnv(),
+    "lnfact": lnfact(),
+    "lngamma(2nu+1)": ln_gamma_2nu(),
+    "lognu*lnfact": lognu_lnfact(),
+    "nu*lnfact": nu_lnfact(),
+    "zpp:(0.5+0j)": zpp_term(0.5),
+    "bd:(1+0j)": bd_term(1.0),
+    "sermul:(0.5+0j):(0.3+0j)": sermul_combined(0.5, 0.3),
+    "gosper:1.0": gosper_term(1.0),
+    "poly:(2+0j),0j,(1+0j)": poly_summand((2.0, 0.0, 1.0)),
+}
 
 
-@pytest.mark.parametrize("f", CATALOG_SUMMANDS, ids=lambda f: f.label or "custom")
+@pytest.mark.parametrize("f", CATALOG_SUMMANDS.values(), ids=list(CATALOG_SUMMANDS))
 def test_classical_consistency(f):
     for n in range(1, 21):
         loop = complex(np.sum(np.asarray(f.eval(np.arange(1, n + 1, dtype=complex)))))
@@ -777,9 +809,8 @@ def test_summand_validation():
     for sigma in (0.5, -math.inf, -2):
         with pytest.raises(ParameterError, match="sigma"):
             Summand(eval=lambda pts: pts, sigma=sigma)
-    with pytest.raises(ParameterError):
-        Summand(eval=lambda pts: pts, rate_hint=0.0)
-    with pytest.raises(ParameterError):
-        Summand(eval=lambda pts: pts, rate_hint=math.nan)
+    for rate in (0.0, math.nan, 1j, -1 + 1j):
+        with pytest.raises(ParameterError, match="rate_hint"):
+            Summand(eval=lambda pts: pts, rate_hint=rate)
     with pytest.raises(ParameterError):
         Summand(eval=lambda pts: pts, sigma=1)

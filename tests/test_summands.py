@@ -10,7 +10,7 @@ import pytest
 
 from fracsum import summands
 from fracsum.engine import SCHEDULE, frac_sum_left
-from fracsum.errors import DomainError, ParameterError, SummandSpecError
+from fracsum.errors import BranchCutError, DomainError, ParameterError, SummandSpecError
 from fracsum.polycore import MAX_DEGREE
 
 
@@ -38,31 +38,35 @@ def _fd(ev, t: complex, k: int):
     raise AssertionError(k)
 
 
+# (pytest id, summand, center, orders); the id names the family and its parameters
 DERIV_FAMILIES = [
-    (summands.power(0.5), 2.0, (1, 2, 3)),
-    (summands.power(1 + 1j), 3.0, (1, 2, 3)),
-    (summands.log_summand(), 5.0, (1, 2, 3)),
-    (summands.vlnv(), 4.0, (1, 2, 3)),
-    (summands.lnfact(), 6.0, (1, 2, 3)),
-    (summands.ln_gamma_2nu(), 5.0, (1, 2, 3)),
-    (summands.lognu_lnfact(), 7.0, (1, 2, 3)),
-    (summands.nu_lnfact(), 7.0, (1, 2, 3)),
-    (summands.zpp_term(0.5), 6.0, (1, 2, 3)),
-    (summands.poly_summand((1.0, -2.0, 0.5j, 3.0)), 1.5, (1, 2, 3)),
-    (summands.tanh_factor(), 3.0, ()),
-    (summands.identity_factor(), 4.0, (1, 2, 3)),
-    (summands.factor_from_spec("pow:a=0.5+1i"), 4.0, (1, 2, 3)),
+    pytest.param(f, center, orders, id=f"{name}-{center}-{orders}")
+    for name, f, center, orders in [
+        ("pow:(0.5+0j)", summands.power(0.5), 2.0, (1, 2, 3)),
+        ("pow:(1+1j)", summands.power(1 + 1j), 3.0, (1, 2, 3)),
+        ("log", summands.log_summand(), 5.0, (1, 2, 3)),
+        ("vlnv", summands.vlnv(), 4.0, (1, 2, 3)),
+        ("lnfact", summands.lnfact(), 6.0, (1, 2, 3)),
+        ("lngamma(2nu+1)", summands.ln_gamma_2nu(), 5.0, (1, 2, 3)),
+        ("lognu*lnfact", summands.lognu_lnfact(), 7.0, (1, 2, 3)),
+        ("nu*lnfact", summands.nu_lnfact(), 7.0, (1, 2, 3)),
+        ("zpp:(0.5+0j)", summands.zpp_term(0.5), 6.0, (1, 2, 3)),
+        ("poly:(1+0j),(-2+0j),0.5j,(3+0j)", summands.poly_summand((1.0, -2.0, 0.5j, 3.0)), 1.5,
+         (1, 2, 3)),
+        ("nu^2+1", summands.tanh_factor(), 3.0, ()),
+        ("id", summands.identity_factor(), 4.0, (1, 2, 3)),
+        ("factor:pow:a=0.5+1i", summands.factor_from_spec("pow:a=0.5+1i"), 4.0, (1, 2, 3)),
+    ]
 ]
 
 
-@pytest.mark.parametrize("f,center,orders", DERIV_FAMILIES,
-                         ids=lambda v: getattr(v, "label", str(v)))
+@pytest.mark.parametrize("f,center,orders", DERIV_FAMILIES)
 def test_derivatives_match_finite_differences(f, center, orders):
     assert f.deriv is not None or not orders
     for k in orders:
         want = _fd(f.eval, center, k)
         got = f.deriv(k, center)
-        assert abs(got - want) <= 5e-5 * (1 + abs(want)), (f.label, k)
+        assert abs(got - want) <= 5e-5 * (1 + abs(want)), k
     if f.exact_poly is not None:
         # a polynomial's derivatives vanish past its degree
         assert all(f.deriv(k, center) == 0 for k in range(len(f.exact_poly.coeffs), 9))
@@ -88,7 +92,7 @@ def test_log_gamma_family_derivatives_match_mpmath(f, ref):
     with mpmath.workdps(30):
         for k in range(7):
             want = complex(mpmath.diff(lambda t: ref(mpmath, t), 7, k))
-            assert abs(f.deriv(k, 7.0) - want) <= 1e-13 * abs(want), (f.label, k)
+            assert abs(f.deriv(k, 7.0) - want) <= 1e-13 * abs(want), k
 
 
 def test_recip_values_and_sigma():
@@ -128,26 +132,32 @@ def test_power_negative_real_axis_guard():
 
 # Every built-in family that is real on the positive real axis, and points of
 # the real orbits the engine evaluates, up to 2^16 past a start of 1.
-REAL_FAMILIES = [
-    summands.recip(), summands.power(0.5), summands.power(1.3), summands.power(-0.4),
-    summands.power(-2), summands.log_summand(), summands.geom(0.5), summands.binom(2.5, 0.3),
-    summands.vlnv(), summands.lnfact(), summands.ln_gamma_summand(), summands.ln_gamma_2nu(),
-    summands.lognu_lnfact(), summands.nu_lnfact(), summands.bd_term(0.3), summands.zpp_term(0.5),
-    summands.sermul_combined(0.5, 0.3), summands.gosper_term(1.5), summands.identity_factor(),
-    summands.tanh_factor(), summands.factor_from_spec("pow:a=0.5"),
-]
+# pytest id -> family, the id naming the family and its parameters
+REAL_FAMILIES = {
+    "recip": summands.recip(), "pow:(0.5+0j)": summands.power(0.5),
+    "pow:(1.3+0j)": summands.power(1.3), "pow:(-0.4+0j)": summands.power(-0.4),
+    "pow:(-2+0j)": summands.power(-2), "log": summands.log_summand(),
+    "geom:(0.5+0j)": summands.geom(0.5), "binom:(2.5+0j):(0.3+0j)": summands.binom(2.5, 0.3),
+    "vlnv": summands.vlnv(), "lnfact": summands.lnfact(),
+    "lngamma+0.0": summands.ln_gamma_summand(), "lngamma(2nu+1)": summands.ln_gamma_2nu(),
+    "lognu*lnfact": summands.lognu_lnfact(), "nu*lnfact": summands.nu_lnfact(),
+    "bd:(0.3+0j)": summands.bd_term(0.3), "zpp:(0.5+0j)": summands.zpp_term(0.5),
+    "sermul:(0.5+0j):(0.3+0j)": summands.sermul_combined(0.5, 0.3),
+    "gosper:1.5": summands.gosper_term(1.5), "id": summands.identity_factor(),
+    "nu^2+1": summands.tanh_factor(), "factor:pow:a=0.5": summands.factor_from_spec("pow:a=0.5"),
+}
 REAL_ORBIT = np.concatenate([np.arange(1, 300) + 0.37, 2.0 ** np.arange(17) + 0.37,
                              2.0 ** np.arange(17) * 1.5 - 0.25])
 
 
-@pytest.mark.parametrize("f", REAL_FAMILIES, ids=lambda f: f.label)
+@pytest.mark.parametrize("f", REAL_FAMILIES.values(), ids=list(REAL_FAMILIES))
 def test_real_orbit_evaluates_in_float64(f):
     # numpy's complex power is itself off by up to 9 eps (for a = 1.3), the
     # float one by at most an ulp, so the two agree to a few times that
     got = f.eval(REAL_ORBIT)
     want = f.eval(REAL_ORBIT.astype(complex))
     assert got.dtype == np.float64
-    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * np.abs(want)), f.label
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * np.abs(want))
 
 
 @pytest.mark.parametrize("a", [0.5, 1.3, -0.286, 2.5])
@@ -162,7 +172,8 @@ def test_real_power_is_within_an_ulp_of_mpmath(a):
 
 
 @pytest.mark.parametrize("f", [summands.geom(0.5 + 0.2j), summands.power(0.7 + 0.5j),
-                               summands.binom(2.5, -0.3)], ids=lambda f: f.label)
+                               summands.binom(2.5, -0.3)],
+                         ids=["geom:(0.5+0.2j)", "pow:(0.7+0.5j)", "binom:(2.5+0j):(-0.3+0j)"])
 def test_complex_on_the_real_axis_stays_complex(f):
     # the family promotes a real orbit itself; a float result would drop
     # the imaginary part
@@ -287,9 +298,13 @@ def test_parse_complex_grammar():
 
 
 def test_from_spec_families():
-    assert summands.from_spec("recip").label == "recip"
-    assert summands.from_spec("log").label == "log"
-    assert summands.from_spec("id").label == "id"
+    # each family is told by its values
+    pts = np.array([2.0, 3.5 + 1j])
+    f = summands.from_spec("recip")
+    assert f.sigma == -1 and np.allclose(f.eval(pts), 1.0 / pts)
+    f = summands.from_spec("log")
+    assert f.sigma == 0 and np.allclose(f.eval(pts), np.log(pts))
+    assert summands.from_spec("id").exact_poly.coeffs == (0j, 1 + 0j)
     assert summands.from_spec("pow:a=0.5").sigma == 1
     assert summands.from_spec("geom:q=0.5").sigma == -1
     assert summands.from_spec("binom:c=2.5:x=0.3").sigma == -1
@@ -317,9 +332,11 @@ def test_from_spec_rejects_malformed():
 def test_factor_from_spec_families():
     # a factor's summand is its logarithm: eval, deriv and exact_poly alike
     f = summands.factor_from_spec("id")
-    assert f.label == "id" and f.sigma == 0
+    assert f.sigma == 0 and f.exact_poly is None
     pts = np.array([2.0, 3.5], dtype=complex)
     assert np.allclose(f.eval(pts), np.log(pts))
+    with pytest.raises(BranchCutError):  # the factor nu meets the cut at nu = -1
+        f.domain_guard(np.array([-1.0 + 0j]))
     g = summands.factor_from_spec("pow:a=0.5")
     assert np.allclose(g.eval(pts), 0.5 * np.log(pts))
     assert g.deriv(1, 4.0) == pytest.approx(0.5 / 4.0)  # d/dnu of 0.5 ln nu
