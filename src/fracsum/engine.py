@@ -92,10 +92,11 @@ class Summand:
     in a DomainError, never in a silently real value. sigma is the
     asymptotic degree, an integer: the Taylor polynomial of f of this degree
     at the tail center makes f - p_n vanish along the tail; -1, the default,
-    means p_n = 0, for a summand with f(n+z) -> 0. deriv(order, points)
-    returns d^order f elementwise over a complex numpy array (all tail
-    centers in one call), or a constant; it is required for sigma >= 1, and
-    without it a sigma = 0 summand takes its value from eval.
+    means p_n = 0, for a summand with f(n+z) -> 0. deriv(centres, degree)
+    returns the Taylor coefficients f^(k)(c)/k!, k = 0..degree, of every
+    centre c of a complex numpy array (all tail centres in one call), as a
+    complex array of shape (degree + 1, len(centres)); it is required for
+    sigma >= 1, and without it a sigma = 0 summand takes its row from eval.
     domain_guard(points) -> bool array marks points where f is defined; a
     guard may instead raise a DomainError subclass to name the fault.
     rate_hint is the expected leading error decay exponent p in n^{-p} (1
@@ -115,7 +116,7 @@ class Summand:
 
     eval: Callable[[np.ndarray], np.ndarray]
     sigma: int = -1
-    deriv: Callable[[int, np.ndarray], np.ndarray | complex] | None = None
+    deriv: Callable[[np.ndarray, int], np.ndarray] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
     rate_hint: float | complex = 1.0
     exact_poly: Polynomial | None = None
@@ -213,15 +214,6 @@ def _richardson_row(prev: list[complex], v: complex, order: int, rate: complex) 
     return row
 
 
-def _taylor_table(f: Summand, centres: np.ndarray) -> np.ndarray:
-    """Rows k <= sigma of f^(k)(c)/k!, a column per centre c, from one deriv
-    call per order; without deriv sigma is 0 and the row is f(centres)."""
-    if f.deriv is None:
-        return np.asarray(f.eval(centres), dtype=complex)[None]
-    return np.array([np.full(centres.shape, f.deriv(k, centres), dtype=complex) / math.factorial(k)
-                     for k in range(f.sigma + 1)])
-
-
 def _guard_check(f: Summand, pts: np.ndarray) -> None:
     if f.domain_guard is None:
         return
@@ -284,22 +276,24 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     # no limit. Level j evaluates the orbit points past n_{j-1}: f is added at
     # pos and subtracted at neg.
     ns, last = SCHEDULE, SCHEDULE[-1]
+    ks = np.arange(0, last, dtype=float)
     if left:
-        ks = np.arange(0, last, dtype=float)
         pos, neg = yo - ks, (xo - 1.0) - ks
     else:
-        nus = np.arange(1, last + 1, dtype=float)
-        pos, neg = nus + (xo - 1.0), nus + yo
+        # nu + x - 1 as ks + x: x - 1 would drop the digits of a small x
+        pos, neg = ks + xo, (ks + 1.0) + yo
     _guard_check(f, pos)
     _guard_check(f, neg)
-    # The Taylor table: the polynomial part at every center of the schedule,
-    # for the levels run and for the floor's share of the skipped ones.
+    # The Taylor table from one deriv call: the polynomial part at every center
+    # of the schedule, for the levels run and for the floor's share of the
+    # skipped ones. Without deriv sigma is 0 and the row is f(centres).
     poly = [0j] * len(ns)
     if f.sigma >= 0:
-        weights = [poly_sum(Polynomial.monomial(k), x, y) for k in range(f.sigma + 1)]
+        weights = np.array([poly_sum(Polynomial.monomial(k), x, y) for k in range(f.sigma + 1)])
         centres = np.array(ns, dtype=float)  # -n as a real: its imaginary part is +0
-        table = _taylor_table(f, (-centres if left else centres).astype(complex))
-        poly = [sum(c * w for c, w in zip(col, weights)) for col in table.T.tolist()]
+        centres = (-centres if left else centres).astype(complex)
+        table = f.deriv(centres, f.sigma) if f.deriv else np.asarray(f.eval(centres))[None]
+        poly = (weights[:, None] * table).sum(axis=0).tolist()
     order, rate = RICHARDSON_ORDER, f.rate_hint
     eps = float(np.finfo(float).eps)
     levels: list[tuple[int, complex]] = []
@@ -419,10 +413,11 @@ def frac_product(
 
 
 def reflected(f: Summand) -> Summand:
-    """The summand nu -> f(-nu), with derivatives and guard carried along."""
+    """The summand nu -> f(-nu), with Taylor rows (row k times (-1)^k) and
+    guard carried along."""
     d = None
     if f.deriv is not None:
-        d = lambda k, t: (-1.0) ** k * f.deriv(k, -t)
+        d = lambda c, deg: (-1.0) ** np.arange(deg + 1)[:, None] * f.deriv(-c, deg)
     g = None
     if f.domain_guard is not None:
         g = lambda pts: f.domain_guard(-pts)

@@ -1,6 +1,6 @@
 """Builtin summand families with their asymptotic metadata.
 
-Each constructor returns a Summand whose sigma, analytic derivatives, and
+Each constructor returns a Summand whose sigma, Taylor coefficients, and
 Richardson rate hint match the family's actual tail behavior; getting these
 right is what makes the engine converge at the advertised rates. The closed
 set here (rather than a generic expression parser) exists precisely so this
@@ -97,10 +97,11 @@ def power(a: complex) -> Summand:
         raise ParameterError(f"{name}: Taylor degree {sig} exceeds cap {MAX_DEGREE}")
     ra = _real(a)
 
-    def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
-        # the falling factorial a (a-1) ... (a-k+1)
-        fall = math.prod((a - i for i in range(k)), start=1.0 + 0j)
-        return fall * np.exp((a - k) * np.log(t))
+    def dv(c: np.ndarray, d: int) -> np.ndarray:
+        # row k is C(a, k) c^(a-k), the binomial C(a, k) = prod_{i<k} (a-i)/(i+1)
+        k = np.arange(d + 1)
+        binom = np.cumprod(np.r_[1.0, (a - k[:-1]) / k[1:]])
+        return binom[:, None] * np.exp((a - k[:, None]) * np.log(c))
 
     return Summand(
         eval=lambda pts: np.power(pts, ra),
@@ -112,42 +113,43 @@ def power(a: complex) -> Summand:
 
 
 # ---------------------------------------------------------------------------
-# The derivative calculus. A family's Taylor data is its deriv(k, t) = d^k f
-# at t for every order k, elementwise over a complex array t, built from a
-# few base ladders by the rules below.
-Deriv = Callable[[int, np.ndarray], np.ndarray]
+# The coefficient calculus. A family's Taylor data is its deriv(c, d): the
+# rows f^(k)(c)/k!, k = 0..d, a column per centre of the complex array c,
+# built from the series of ln t, ln Gamma(t) and polynomials (poly_summand)
+# by the two rules below, an affine argument and the product.
+Series = Callable[[np.ndarray, int], np.ndarray]
 
 
-def _d_log(k: int, t: np.ndarray) -> np.ndarray:
-    """d^k ln t (principal branch)."""
-    return np.log(t) if k == 0 else (-1.0) ** (k - 1) * math.factorial(k - 1) * t ** (-k)
+def _log_series(c: np.ndarray, d: int) -> np.ndarray:
+    """ln(c + z) = ln c - sum_{k>=1} (-z/c)^k / k (principal branch)."""
+    k = np.arange(1, d + 1)[:, None]
+    return np.concatenate([np.log(c)[None], -(-1.0 / c) ** k / k])
 
 
-def _d_ln_gamma(k: int, t: np.ndarray) -> np.ndarray:
-    """d^k ln Gamma(t) = psi^(k-1)(t)."""
-    return log_gamma(t) if k == 0 else polygamma(k - 1, t)
+def _ln_gamma_series(c: np.ndarray, d: int) -> np.ndarray:
+    """ln Gamma(c + z): row k >= 1 is psi^(k-1)(c)/k!, each order asked for once."""
+    kfact = np.cumprod(np.arange(1.0, d + 1))  # (k + 1)! at k
+    return np.array([log_gamma(c), *(polygamma(k, c) / kfact[k] for k in range(d))])
 
 
-def _affine(g: Deriv, a: float, b: complex) -> Deriv:
-    """The derivatives of g(a t + b): d^k = a^k g^(k)(a t + b)."""
-    return lambda k, t: a**k * g(k, a * t + b)
+def _affine(g: Series, a: float, b: complex) -> Series:
+    """The series of g(a t + b): row k of g at a c + b, times a^k."""
+    return lambda c, d: g(a * c + b, d) * a ** np.arange(d + 1)[:, None]
 
 
-def _times_t(g: Deriv) -> Deriv:
-    """The derivatives of t g(t) from those of g: d^k (t g) = k g^(k-1) + t g^(k)."""
-    return lambda k, t: t * g(0, t) if k == 0 else k * g(k - 1, t) + t * g(k, t)
+def _product(f: Series, g: Series) -> Series:
+    """The series of f g, a Cauchy product: row k is sum_j f_j g_(k-j), each
+    series evaluated once (once in all for a square, g is f)."""
 
+    def s(c: np.ndarray, d: int) -> np.ndarray:
+        fs = f(c, d)
+        gs = fs if g is f else g(c, d)
+        out = fs[0] * gs
+        for j in range(1, d + 1):
+            out[j:] += fs[j] * gs[: d + 1 - j]
+        return out
 
-def _leibniz(f: Deriv, g: Deriv) -> Deriv:
-    """The derivatives of f g: d^k (f g) = sum_j C(k, j) f^(j) g^(k-j), each
-    ladder evaluated once (one ladder for a square, g is f)."""
-
-    def d(k: int, t: np.ndarray) -> np.ndarray:
-        fs = [f(j, t) for j in range(k + 1)]
-        gs = fs if g is f else [g(j, t) for j in range(k + 1)]
-        return sum(math.comb(k, j) * fs[j] * gs[k - j] for j in range(k + 1))
-
-    return d
+    return s
 
 
 def log_summand() -> Summand:
@@ -155,7 +157,7 @@ def log_summand() -> Summand:
     return Summand(
         eval=np.log,
         sigma=0,
-        deriv=_d_log,
+        deriv=_log_series,
         domain_guard=_off_cut,
     )
 
@@ -231,26 +233,26 @@ def vlnv() -> Summand:
     return Summand(
         eval=lambda pts: pts * np.log(pts),
         sigma=1,
-        deriv=_times_t(_d_log),
+        deriv=_product(poly_summand((0.0, 1.0)).deriv, _log_series),
         domain_guard=_off_cut,
     )
 
 
 def _ln_gamma_of(a: float, b: float) -> Summand:
-    """f(nu) = ln Gamma(a nu + b), with d^k f = a^k psi^(k-1)(a nu + b); it
-    grows like nu ln nu, and sigma = 3 leaves a remainder decaying like n^{-3}."""
+    """f(nu) = ln Gamma(a nu + b), whose row k >= 1 is a^k psi^(k-1)(a c + b)/k!;
+    it grows like nu ln nu, and sigma = 3 leaves a remainder decaying like n^{-3}."""
     return Summand(
         eval=lambda pts: log_gamma(a * pts + b),
         sigma=3,
-        deriv=_affine(_d_ln_gamma, a, b),
+        deriv=_affine(_ln_gamma_series, a, b),
         domain_guard=lambda pts: _off_cut(a * pts + b),
         rate_hint=3.0,
     )
 
 
 def lnfact(shift: float = 1.0) -> Summand:
-    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!), derivatives
-    psi^(k-1)(nu + shift) at every order k."""
+    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!), Taylor rows
+    psi^(k-1)(c + shift)/k! at every order k >= 1."""
     return _ln_gamma_of(1.0, shift)
 
 
@@ -260,8 +262,8 @@ def ln_gamma_summand() -> Summand:
 
 
 def ln_gamma_2nu() -> Summand:
-    """f(nu) = ln Gamma(2 nu + 1), derivatives 2^k psi^(k-1)(2 nu + 1) at
-    every order k."""
+    """f(nu) = ln Gamma(2 nu + 1), Taylor rows 2^k psi^(k-1)(2 c + 1)/k! at
+    every order k >= 1."""
     return _ln_gamma_of(2.0, 1.0)
 
 
@@ -270,7 +272,7 @@ def lognu_lnfact() -> Summand:
     return Summand(
         eval=lambda pts: np.log(pts) * log_gamma(pts + 1.0),
         sigma=3,
-        deriv=_leibniz(_d_log, lnfact().deriv),
+        deriv=_product(_log_series, lnfact().deriv),
         domain_guard=_off_cut,
         rate_hint=3.0,
     )
@@ -281,7 +283,7 @@ def nu_lnfact() -> Summand:
     return Summand(
         eval=lambda pts: pts * log_gamma(pts + 1.0),
         sigma=4,
-        deriv=_times_t(lnfact().deriv),
+        deriv=_product(poly_summand((0.0, 1.0)).deriv, lnfact().deriv),
         domain_guard=lambda pts: _off_cut(pts + 1.0),
         rate_hint=3.0,
     )
@@ -316,7 +318,7 @@ def zpp_term(x: complex) -> Summand:
     Grows like n ln^2 n; sigma = 3 leaves an O(ln n / n^4)-scale remainder
     over the catalog's [1, -1/2] window (the quadratic window weight
     vanishes there), so the raw levels are already at ~1e-14 by n ~ 1000.
-    Its derivatives, at every order, are those of t * 2 L(t)^2, L = ln(2t + x).
+    Its Taylor rows, at every order, are those of 2t * L(t)^2, L = ln(2t + x).
     """
     x = _real(complex(x))
 
@@ -324,12 +326,11 @@ def zpp_term(x: complex) -> Summand:
         u = np.log(2.0 * pts + x)
         return 2.0 * pts * u * u
 
-    L = _affine(_d_log, 2.0, x)
-    LL = _leibniz(L, L)
+    L = _affine(_log_series, 2.0, x)
     return Summand(
         eval=ev,
         sigma=3,
-        deriv=_times_t(lambda k, t: 2.0 * LL(k, t)),
+        deriv=_product(poly_summand((0.0, 2.0)).deriv, _product(L, L)),
         domain_guard=lambda pts: _off_cut(2.0 * pts + x),
         rate_hint=4.0,
     )
@@ -370,10 +371,13 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
     if p.degree == -math.inf:
         return Summand(eval=lambda pts: np.zeros_like(pts), exact_poly=p)
 
-    def dv(k: int, t: np.ndarray) -> np.ndarray | complex:
-        # p^(k)(t) = k! sum_{i>=k} C(i, k) c_i t^(i-k)
-        dk = Polynomial.of(*(math.comb(i, k) * c for i, c in enumerate(p.coeffs[k:], k)))
-        return math.factorial(k) * dk(t)
+    def dv(c: np.ndarray, d: int) -> np.ndarray:
+        # row k is sum_{i>=k} C(i, k) p_i c^(i-k); rows past the degree are 0
+        rows = np.zeros((d + 1, len(c)), dtype=complex)
+        for k in range(min(d, p.degree) + 1):
+            q = Polynomial.of(*(math.comb(i, k) * pi for i, pi in enumerate(p.coeffs[k:], k)))
+            rows[k] = q(c)
+        return rows
 
     # a Polynomial evaluates elementwise on arrays
     return Summand(eval=p, sigma=int(p.degree), deriv=dv, exact_poly=p)
@@ -536,7 +540,7 @@ def factor_from_spec(spec: str) -> Summand:
         a = _real(args[0])
         lf = identity_factor()
         return replace(lf, eval=lambda pts: a * lf.eval(pts),
-                       deriv=lambda k, t: a * lf.deriv(k, t))
+                       deriv=lambda c, d: a * lf.deriv(c, d))
     _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
     if fam == "id":
         return identity_factor()

@@ -47,11 +47,11 @@ from fracsum.summands import (
     zpp_term,
 )
 
-# 1/nu with the analytic derivative ladder, for linear combinations that
+# 1/nu with its Taylor rows (-1)^k c^(-k-1), for linear combinations that
 # need Taylor data from the decaying partner
 RECIP_D = replace(
     recip(),
-    deriv=lambda k, t: (-1.0) ** k * math.factorial(k) * t ** (-k - 1.0),
+    deriv=lambda c, d: (-1.0 / c) ** np.arange(d + 1)[:, None] / c,
 )
 
 # families that exercise the genuine limit route (no exact polynomial)
@@ -67,7 +67,7 @@ inner_bounds = st.builds(
 def shifted(f: Summand, s: complex) -> Summand:
     d = None
     if f.deriv is not None:
-        d = lambda k, t: f.deriv(k, t + s)
+        d = lambda c, deg: f.deriv(c + s, deg)
     g = None
     if f.domain_guard is not None:
         g = lambda pts: f.domain_guard(pts + s)
@@ -84,9 +84,10 @@ def lincomb(a: complex, f: Summand, b: complex, g: Summand) -> Summand:
     sig = max(f.sigma, g.sigma)
     d = None
     if sig >= 0:
-        df = f.deriv if f.deriv is not None else (lambda k, t: 0j)
-        dg = g.deriv if g.deriv is not None else (lambda k, t: 0j)
-        d = lambda k, t: a * df(k, t) + b * dg(k, t)
+        zero = lambda c, deg: np.zeros((deg + 1, len(c)), dtype=complex)
+        df = f.deriv if f.deriv is not None else zero
+        dg = g.deriv if g.deriv is not None else zero
+        d = lambda c, deg: a * df(c, deg) + b * dg(c, deg)
     guards = [h.domain_guard for h in (f, g) if h.domain_guard is not None]
     gd = None
     if guards:
@@ -143,6 +144,23 @@ def test_harmonic_interval_at_default_levels():
     res = frac_sum_right(recip(), 1.0, -0.5)
     assert res.converged
     assert abs(res.value - (-2.0 * math.log(2.0))) < 1e-10
+
+
+@pytest.mark.parametrize("f,x,ref", [
+    (recip(), 1e-10, lambda mp, x: mp.digamma(1.5) - mp.digamma(x)),
+    (recip(), 1e-12, lambda mp, x: mp.digamma(1.5) - mp.digamma(x)),
+    (recip(), 3e-16, lambda mp, x: mp.digamma(1.5) - mp.digamma(x)),
+    (log_summand(), 1e-320, lambda mp, x: mp.loggamma(1.5) - mp.loggamma(x)),
+], ids=["recip-1e-10", "recip-1e-12", "recip-3e-16", "log-1e-320"])
+def test_small_lower_bound_keeps_its_digits(f, x, ref):
+    # the right orbit's first point is x itself, not (x - 1) + 1, which would
+    # round the digits of a small x away (to the pole 0 below 1.1e-16)
+    mpmath = pytest.importorskip("mpmath")
+    res = frac_sum_right(f, x, 0.5)
+    with mpmath.workdps(40):
+        want = complex(ref(mpmath, mpmath.mpf(x)))
+    assert res.converged
+    assert abs(res.value - want) <= res.err_estimate
 
 
 # ------------------------------------------------------------------- right sums

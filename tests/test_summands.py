@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fracsum import summands
-from fracsum.engine import SCHEDULE, frac_sum_left
+from fracsum.engine import SCHEDULE, frac_sum_left, frac_sum_right
 from fracsum.errors import BranchCutError, DomainError, ParameterError, SummandSpecError
 from fracsum.polycore import MAX_DEGREE
 
@@ -63,19 +63,26 @@ DERIV_FAMILIES = [
 @pytest.mark.parametrize("f,center,orders", DERIV_FAMILIES)
 def test_derivatives_match_finite_differences(f, center, orders):
     assert f.deriv is not None or not orders
+    if not orders:
+        return
+    # row k of deriv(c, d) is f^(k)(c)/k!, a column per centre
+    rows = f.deriv(np.array([center], dtype=complex), max(orders))
     for k in orders:
         want = _fd(f.eval, center, k)
-        got = f.deriv(k, center)
+        got = math.factorial(k) * rows[k, 0]
         assert abs(got - want) <= 5e-5 * (1 + abs(want)), k
     if f.exact_poly is not None:
-        # a polynomial's derivatives vanish past its degree
-        assert all(f.deriv(k, center) == 0 for k in range(len(f.exact_poly.coeffs), 9))
-    # the engine asks for each order once, at all the tail centers of the
-    # schedule together; that must be the scalar calls, elementwise
-    centers = np.array(SCHEDULE, dtype=complex)
-    for k in range(f.sigma + 1 if orders else 0):
-        got = np.broadcast_to(f.deriv(k, centers), centers.shape)
-        assert [complex(g) for g in got] == [complex(f.deriv(k, complex(c))) for c in centers], k
+        # a polynomial's rows vanish past its degree
+        assert not f.deriv(np.array([center], dtype=complex), 8)[len(f.exact_poly.coeffs):].any()
+    # the engine asks for the whole table once, at all the tail centres of the
+    # schedule together; its columns must be the one-centre calls, and its
+    # shape (d + 1, n) at the summand's degree and past it
+    centres = np.array(SCHEDULE, dtype=complex)
+    for d in (f.sigma, 6):
+        table = f.deriv(centres, d)
+        assert table.shape == (d + 1, len(centres)) and table.dtype == complex
+        for j, c in enumerate(centres):
+            assert table[:, j].tolist() == f.deriv(centres[j:j + 1], d)[:, 0].tolist(), (d, c)
 
 
 @pytest.mark.parametrize("f,ref", [
@@ -85,14 +92,56 @@ def test_derivatives_match_finite_differences(f, center, orders):
     (summands.nu_lnfact(), lambda mp, t: t * mp.loggamma(t + 1)),
     (summands.vlnv(), lambda mp, t: t * mp.log(t)),
     (summands.zpp_term(0.5), lambda mp, t: 2 * t * mp.log(2 * t + 0.5) ** 2),
-], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv", "zpp_term"])
+    (summands.ln_gamma_summand(), lambda mp, t: mp.loggamma(t)),
+    (summands.power(0.5), lambda mp, t: t ** 0.5),
+    (summands.power(1 + 1j), lambda mp, t: t ** mp.mpc(1, 1)),
+    (summands.power(2.5 - 0.5j), lambda mp, t: t ** mp.mpc(2.5, -0.5)),
+    (summands.log_summand(), lambda mp, t: mp.log(t)),
+    (summands.poly_summand((1.0, -2.0, 0.5j, 3.0)),
+     lambda mp, t: 1 - 2 * t + 0.5j * t**2 + 3 * t**3),
+    (summands.identity_factor(), lambda mp, t: mp.log(t)),
+    (summands.factor_from_spec("pow:a=0.5+1i"), lambda mp, t: mp.mpc(0.5, 1) * mp.log(t)),
+], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv", "zpp_term",
+        "ln_gamma_summand", "pow:0.5", "pow:1+1i", "pow:2.5-0.5i", "log", "poly",
+        "factor:id", "factor:pow:a=0.5+1i"])
 def test_log_gamma_family_derivatives_match_mpmath(f, ref):
-    # every order a higher Taylor degree would ask for, not only k <= 3
+    # every row a higher Taylor degree would ask for, not only k <= sigma
     mpmath = pytest.importorskip("mpmath")
+    rows = f.deriv(np.array([7.0 + 0j]), 6)
     with mpmath.workdps(30):
         for k in range(7):
-            want = complex(mpmath.diff(lambda t: ref(mpmath, t), 7, k))
-            assert abs(f.deriv(k, 7.0) - want) <= 1e-13 * abs(want), k
+            want = complex(mpmath.diff(lambda t: ref(mpmath, t), 7, k) / mpmath.factorial(k))
+            assert abs(rows[k, 0] - want) <= 1e-13 * abs(want), k
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls of the named functions of fracsum.summands."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(summands, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(summands, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("f,polygammas", [
+    (summands.lognu_lnfact(), 3), (summands.nu_lnfact(), 4)], ids=["lognu_lnfact", "nu_lnfact"])
+def test_each_base_series_runs_once_per_table(monkeypatch, f, polygammas):
+    calls = _counted(monkeypatch, "log_gamma", "polygamma")
+    f.deriv(np.array(SCHEDULE, dtype=complex), f.sigma)
+    assert calls == {"log_gamma": 1, "polygamma": polygammas}
+
+
+def test_one_deriv_call_per_sum():
+    calls = []
+    f = summands.lnfact()
+    traced = replace(f, deriv=lambda c, d: calls.append(d) or f.deriv(c, d))
+    assert frac_sum_right(traced, 1.0, 0.5).value == frac_sum_right(f, 1.0, 0.5).value
+    assert calls == [f.sigma]
 
 
 def test_recip_values_and_sigma():
@@ -339,7 +388,7 @@ def test_factor_from_spec_families():
         f.domain_guard(np.array([-1.0 + 0j]))
     g = summands.factor_from_spec("pow:a=0.5")
     assert np.allclose(g.eval(pts), 0.5 * np.log(pts))
-    assert g.deriv(1, 4.0) == pytest.approx(0.5 / 4.0)  # d/dnu of 0.5 ln nu
+    assert g.deriv(np.array([4.0 + 0j]), 1)[1, 0] == pytest.approx(0.5 / 4.0)  # d/dnu of 0.5 ln nu
     h = summands.factor_from_spec("geom:q=2")
     assert np.allclose(h.eval(pts), pts * math.log(2.0))
     assert h.exact_poly.coeffs == (0j, complex(math.log(2.0)))  # nu ln 2
