@@ -34,8 +34,8 @@ Numerical notes that matter here:
   poly_sum(p_n, n+x, n+y) exactly (translation identity for polynomials)
   while avoiding the catastrophic cancellation of expanded coefficients.
 * Between real bounds the orbit is float64, so a real-analytic summand is
-  evaluated in real arithmetic and its terms are summed as one part; complex
-  bounds, the Taylor table and poly_sum stay complex.
+  evaluated in real arithmetic and its terms are summed as one part, and its
+  Taylor table is real; complex bounds and poly_sum stay complex.
 * The closed routes, an exact polynomial's poly_sum and an integer length's
   classical loop, run no level: they report levels = () and n_used the
   classical terms they evaluated (0 for a polynomial).
@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -92,11 +93,10 @@ class Summand:
     in a DomainError, never in a silently real value. sigma is the
     asymptotic degree, an integer: the Taylor polynomial of f of this degree
     at the tail center makes f - p_n vanish along the tail; -1, the default,
-    means p_n = 0, for a summand with f(n+z) -> 0. deriv(centres, degree)
-    returns the Taylor coefficients f^(k)(c)/k!, k = 0..degree, of every
-    centre c of a complex numpy array (all tail centres in one call), as a
-    complex array of shape (degree + 1, len(centres)); it is required for
-    sigma >= 1, and without it a sigma = 0 summand takes its row from eval.
+    means p_n = 0, for a summand with f(n+z) -> 0. The engine takes p_n's
+    coefficients from eval alone (see _taylor_table): for sigma >= 1, eval
+    also gets complex points on small circles about the tail centres
+    +-64 ... +-8192, and for sigma = 0 the centres themselves.
     domain_guard(points) -> bool array marks points where f is defined; a
     guard may instead raise a DomainError subclass to name the fault.
     rate_hint is the expected leading error decay exponent p in n^{-p} (1
@@ -116,17 +116,16 @@ class Summand:
 
     eval: Callable[[np.ndarray], np.ndarray]
     sigma: int = -1
-    deriv: Callable[[np.ndarray, int], np.ndarray] | None = None
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
     rate_hint: float | complex = 1.0
     exact_poly: Polynomial | None = None
+    # not a field: kept for callers that still look for Taylor data on a summand
+    deriv: ClassVar[None] = None
 
     def __post_init__(self):
         s = self.sigma
         if not isinstance(s, int) or s < -1:
             raise ParameterError(f"sigma must be an integer >= -1, got {s}")
-        if s >= 1 and self.deriv is None:
-            raise ParameterError(f"sigma = {s} needs deriv for the Taylor coefficients")
         if not self.rate_hint.real > 0:  # also rejects nan
             raise ParameterError(f"rate_hint must have Re > 0, got {self.rate_hint}")
 
@@ -214,13 +213,50 @@ def _richardson_row(prev: list[complex], v: complex, order: int, rate: complex) 
     return row
 
 
-def _guard_check(f: Summand, pts: np.ndarray) -> None:
+def _guard_check(f: Summand, pts: np.ndarray, what: str = "orbit point") -> None:
     if f.domain_guard is None:
         return
     ok = np.asarray(f.domain_guard(pts), dtype=bool)
     if not ok.all():
         bad = complex(pts[~ok][0])
-        raise DomainError(f"summand undefined at orbit point {bad}", bad)
+        raise DomainError(f"summand undefined at {what} {bad}", bad)
+
+
+@lru_cache(maxsize=None)
+def _dft(nodes: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of unity w_j = exp(2 pi i j / N) and the rows k = 0..degree
+    of the inverse DFT, w_j^(-k) / N, with jk reduced mod N first."""
+    j = np.arange(nodes)
+    jk = np.outer(np.arange(degree + 1), j) % nodes
+    w, inv = np.exp(2j * math.pi * j / nodes), np.exp(-2j * math.pi * jk / nodes) / nodes
+    w.flags.writeable = inv.flags.writeable = False  # shared by every caller
+    return w, inv
+
+
+def _taylor_table(f: Summand, centres: np.ndarray, degree: int) -> np.ndarray:
+    """The Taylor rows f^(k)(c)/k!, k = 0..degree, a column per centre, from
+    one eval call: Cauchy's integral on N nodes of the circle of radius
+    r = |c| 2^(-64/N) about c, inverted by one DFT (Fornberg, ACM TOMS 7,
+    1981; Bornemann, Found. Comput. Math. 11, 2011). Row k times r^k carries
+    about eps max|f| on the circle of rounding and, for f analytic on the
+    disc of radius |c|, rows k + N, k + 2N, ... alias into it at (r/|c|)^N =
+    2^-64. N is 1 at degree 0, where the row is f(c), else the smallest power
+    of two >= max(16, 2 degree + 2). The points pass the domain guard first,
+    and real centres give real rows where f is real at the real point c + r.
+    """
+    if degree == 0:
+        _guard_check(f, centres, "Taylor centre")
+        return np.asarray(f.eval(centres))[None]
+    nodes = 1 << (max(16, 2 * degree + 2) - 1).bit_length()
+    w, inv = _dft(nodes, degree)
+    r = np.abs(centres) * 2.0 ** (-64 / nodes)
+    pts = (centres + r * w[:, None]).ravel()
+    _guard_check(f, pts, "Taylor-circle point")
+    vals = np.asarray(f.eval(pts)).reshape(nodes, len(centres))
+    rows = (inv @ vals) / r ** np.arange(degree + 1)[:, None]
+    if np.isrealobj(centres) and not vals[0].imag.any():
+        return rows.real
+    return rows
 
 
 def _converged(value: complex, err: float, tol: float) -> bool:
@@ -284,15 +320,14 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         pos, neg = ks + xo, (ks + 1.0) + yo
     _guard_check(f, pos)
     _guard_check(f, neg)
-    # The Taylor table from one deriv call: the polynomial part at every center
+    # The Taylor table from one eval call: the polynomial part at every center
     # of the schedule, for the levels run and for the floor's share of the
-    # skipped ones. Without deriv sigma is 0 and the row is f(centres).
+    # skipped ones. The centres take the orbit's dtype.
     poly = [0j] * len(ns)
     if f.sigma >= 0:
         weights = np.array([poly_sum(Polynomial.monomial(k), x, y) for k in range(f.sigma + 1)])
-        centres = np.array(ns, dtype=float)  # -n as a real: its imaginary part is +0
-        centres = (-centres if left else centres).astype(complex)
-        table = f.deriv(centres, f.sigma) if f.deriv else np.asarray(f.eval(centres))[None]
+        centres = np.array(ns, dtype=type(xo))
+        table = _taylor_table(f, -centres if left else centres, f.sigma)
         poly = (weights[:, None] * table).sum(axis=0).tolist()
     order, rate = RICHARDSON_ORDER, f.rate_hint
     eps = float(np.finfo(float).eps)
@@ -381,8 +416,10 @@ def frac_sum_left(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TO
     """Left fractional sum: the tail limit runs toward -infinity.
 
     Per level: S(m) = poly_sum(p_{-m}, x-m, y-m) + sum_{k=0}^{m-1}
-    (f(y-k) - f(x-1-k)). The summand's sigma/deriv must describe f toward
-    -infinity.
+    (f(y-k) - f(x-1-k)). The summand's sigma must describe f toward
+    -infinity, where f must be analytic on the Taylor circles about -m: a cut
+    along the negative real axis (ln nu, nu^a) is a DomainError there,
+    whichever side of it the bounds lie on.
     """
     return _frac_sum(f, x, y, tol, left=True)
 
@@ -394,7 +431,7 @@ def frac_product(
     """Fractional product over [x, y] of a factor g: exp of the fractional
     sum of ln g.
 
-    f is the summand of ln g: its eval, sigma, deriv and domain_guard all
+    f is the summand of ln g: its eval, sigma and domain_guard all
     describe nu -> ln g(nu). The factor families' guards raise BranchCutError
     where g meets the cut of the principal log. left selects the left-tail sum,
     and tol is as in frac_sum_right.
@@ -413,11 +450,8 @@ def frac_product(
 
 
 def reflected(f: Summand) -> Summand:
-    """The summand nu -> f(-nu), with Taylor rows (row k times (-1)^k) and
-    guard carried along."""
-    d = None
-    if f.deriv is not None:
-        d = lambda c, deg: (-1.0) ** np.arange(deg + 1)[:, None] * f.deriv(-c, deg)
+    """The summand nu -> f(-nu), with guard and exact polynomial carried
+    along; its Taylor rows come from its eval like any summand's."""
     g = None
     if f.domain_guard is not None:
         g = lambda pts: f.domain_guard(-pts)
@@ -429,7 +463,6 @@ def reflected(f: Summand) -> Summand:
     return replace(
         f,
         eval=lambda pts: np.asarray(f.eval(-pts)),
-        deriv=d,
         domain_guard=g,
         exact_poly=ep,
     )
@@ -438,9 +471,10 @@ def reflected(f: Summand) -> Summand:
 def mirror_check(f: Summand, a: complex, b: complex) -> MirrorCheck:
     """Compare the right sum over [a, b] with the left sum of f(-nu) over [-b, -a].
 
-    The two agree identically for the Taylor realization (the reflected
-    Taylor data is the mirror image), so the difference measures only
-    round-off and is a sharp internal consistency check.
+    The two agree for the Taylor realization: the reflected summand's orbit
+    is f's own, and its Taylor circles are f's, their nodes met in the
+    mirror order, so the difference measures only round-off and is a sharp
+    internal consistency check.
     """
     right = frac_sum_right(f, a, b)
     left = frac_sum_left(reflected(f), -b, -a)

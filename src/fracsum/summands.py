@@ -1,10 +1,12 @@
 """Builtin summand families with their asymptotic metadata.
 
-Each constructor returns a Summand whose sigma, Taylor coefficients, and
-Richardson rate hint match the family's actual tail behavior; getting these
-right is what makes the engine converge at the advertised rates. The closed
-set here (rather than a generic expression parser) exists precisely so this
-metadata is always correct.
+Each constructor returns a Summand whose sigma and Richardson rate hint
+match the family's actual tail behavior; getting these right is what makes
+the engine converge at the advertised rates. The Taylor coefficients are the
+engine's, taken from eval on circles about the tail centres, so a family
+states its values, its domain and this metadata, and no derivatives. The
+closed set here (rather than a generic expression parser) exists precisely
+so this metadata is always correct.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 from .engine import Summand
 from .errors import BranchCutError, DomainError, ParameterError, SummandSpecError
 from .polycore import MAX_DEGREE, Polynomial
-from .specialfn import log_gamma, polygamma
+from .specialfn import log_gamma
 
 __all__ = [
     "recip",
@@ -77,12 +79,12 @@ def power(a: complex) -> Summand:
     n^{-i Im p} factor a real rate would leave in the tableau. The two extra
     degrees of a complex a are measured, not derived: with sigma =
     floor(Re a) + 1 and the complex rate, 18 of the 40 complex-a operations
-    of perfbench's elementary seeds 1-40 understate their error, against 5
+    of perfbench's elementary seeds 1-40 understate their error, against 4
     with them.
 
     Raises:
         ParameterError: a polynomial degree or a Taylor degree sigma above
-            MAX_DEGREE, before any coefficient is built.
+            MAX_DEGREE, before any Taylor table is taken.
     """
     a = complex(a)
     is_real = a.imag == 0.0
@@ -96,70 +98,17 @@ def power(a: complex) -> Summand:
     if sig > MAX_DEGREE:
         raise ParameterError(f"{name}: Taylor degree {sig} exceeds cap {MAX_DEGREE}")
     ra = _real(a)
-
-    def dv(c: np.ndarray, d: int) -> np.ndarray:
-        # row k is C(a, k) c^(a-k), the binomial C(a, k) = prod_{i<k} (a-i)/(i+1)
-        k = np.arange(d + 1)
-        binom = np.cumprod(np.r_[1.0, (a - k[:-1]) / k[1:]])
-        return binom[:, None] * np.exp((a - k[:, None]) * np.log(c))
-
     return Summand(
         eval=lambda pts: np.power(pts, ra),
         sigma=sig,
-        deriv=dv if sig >= 0 else None,
         domain_guard=_nonzero if is_int else _off_cut,
         rate_hint=_real(sig + 1 - a),
     )
 
 
-# ---------------------------------------------------------------------------
-# The coefficient calculus. A family's Taylor data is its deriv(c, d): the
-# rows f^(k)(c)/k!, k = 0..d, a column per centre of the complex array c,
-# built from the series of ln t, ln Gamma(t) and polynomials (poly_summand)
-# by the two rules below, an affine argument and the product.
-Series = Callable[[np.ndarray, int], np.ndarray]
-
-
-def _log_series(c: np.ndarray, d: int) -> np.ndarray:
-    """ln(c + z) = ln c - sum_{k>=1} (-z/c)^k / k (principal branch)."""
-    k = np.arange(1, d + 1)[:, None]
-    return np.concatenate([np.log(c)[None], -(-1.0 / c) ** k / k])
-
-
-def _ln_gamma_series(c: np.ndarray, d: int) -> np.ndarray:
-    """ln Gamma(c + z): row k >= 1 is psi^(k-1)(c)/k!, each order asked for once."""
-    kfact = np.cumprod(np.arange(1.0, d + 1))  # (k + 1)! at k
-    return np.array([log_gamma(c), *(polygamma(k, c) / kfact[k] for k in range(d))])
-
-
-def _affine(g: Series, a: float, b: complex) -> Series:
-    """The series of g(a t + b): row k of g at a c + b, times a^k."""
-    return lambda c, d: g(a * c + b, d) * a ** np.arange(d + 1)[:, None]
-
-
-def _product(f: Series, g: Series) -> Series:
-    """The series of f g, a Cauchy product: row k is sum_j f_j g_(k-j), each
-    series evaluated once (once in all for a square, g is f)."""
-
-    def s(c: np.ndarray, d: int) -> np.ndarray:
-        fs = f(c, d)
-        gs = fs if g is f else g(c, d)
-        out = fs[0] * gs
-        for j in range(1, d + 1):
-            out[j:] += fs[j] * gs[: d + 1 - j]
-        return out
-
-    return s
-
-
 def log_summand() -> Summand:
     """f(nu) = ln nu (principal); constant approximating polynomial suffices."""
-    return Summand(
-        eval=np.log,
-        sigma=0,
-        deriv=_log_series,
-        domain_guard=_off_cut,
-    )
+    return Summand(eval=np.log, sigma=0, domain_guard=_off_cut)
 
 
 def geom(q: complex) -> Summand:
@@ -233,26 +182,23 @@ def vlnv() -> Summand:
     return Summand(
         eval=lambda pts: pts * np.log(pts),
         sigma=1,
-        deriv=_product(poly_summand((0.0, 1.0)).deriv, _log_series),
         domain_guard=_off_cut,
     )
 
 
 def _ln_gamma_of(a: float, b: float) -> Summand:
-    """f(nu) = ln Gamma(a nu + b), whose row k >= 1 is a^k psi^(k-1)(a c + b)/k!;
-    it grows like nu ln nu, and sigma = 3 leaves a remainder decaying like n^{-3}."""
+    """f(nu) = ln Gamma(a nu + b); it grows like nu ln nu, and sigma = 3 leaves
+    a remainder decaying like n^{-3}."""
     return Summand(
         eval=lambda pts: log_gamma(a * pts + b),
         sigma=3,
-        deriv=_affine(_ln_gamma_series, a, b),
         domain_guard=lambda pts: _off_cut(a * pts + b),
         rate_hint=3.0,
     )
 
 
 def lnfact(shift: float = 1.0) -> Summand:
-    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!), Taylor rows
-    psi^(k-1)(c + shift)/k! at every order k >= 1."""
+    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!)."""
     return _ln_gamma_of(1.0, shift)
 
 
@@ -262,8 +208,7 @@ def ln_gamma_summand() -> Summand:
 
 
 def ln_gamma_2nu() -> Summand:
-    """f(nu) = ln Gamma(2 nu + 1), Taylor rows 2^k psi^(k-1)(2 c + 1)/k! at
-    every order k >= 1."""
+    """f(nu) = ln Gamma(2 nu + 1)."""
     return _ln_gamma_of(2.0, 1.0)
 
 
@@ -272,7 +217,6 @@ def lognu_lnfact() -> Summand:
     return Summand(
         eval=lambda pts: np.log(pts) * log_gamma(pts + 1.0),
         sigma=3,
-        deriv=_product(_log_series, lnfact().deriv),
         domain_guard=_off_cut,
         rate_hint=3.0,
     )
@@ -283,7 +227,6 @@ def nu_lnfact() -> Summand:
     return Summand(
         eval=lambda pts: pts * log_gamma(pts + 1.0),
         sigma=4,
-        deriv=_product(poly_summand((0.0, 1.0)).deriv, lnfact().deriv),
         domain_guard=lambda pts: _off_cut(pts + 1.0),
         rate_hint=3.0,
     )
@@ -318,7 +261,6 @@ def zpp_term(x: complex) -> Summand:
     Grows like n ln^2 n; sigma = 3 leaves an O(ln n / n^4)-scale remainder
     over the catalog's [1, -1/2] window (the quadratic window weight
     vanishes there), so the raw levels are already at ~1e-14 by n ~ 1000.
-    Its Taylor rows, at every order, are those of 2t * L(t)^2, L = ln(2t + x).
     """
     x = _real(complex(x))
 
@@ -326,11 +268,9 @@ def zpp_term(x: complex) -> Summand:
         u = np.log(2.0 * pts + x)
         return 2.0 * pts * u * u
 
-    L = _affine(_log_series, 2.0, x)
     return Summand(
         eval=ev,
         sigma=3,
-        deriv=_product(poly_summand((0.0, 2.0)).deriv, _product(L, L)),
         domain_guard=lambda pts: _off_cut(2.0 * pts + x),
         rate_hint=4.0,
     )
@@ -370,17 +310,8 @@ def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
     p = Polynomial.of(*coeffs)
     if p.degree == -math.inf:
         return Summand(eval=lambda pts: np.zeros_like(pts), exact_poly=p)
-
-    def dv(c: np.ndarray, d: int) -> np.ndarray:
-        # row k is sum_{i>=k} C(i, k) p_i c^(i-k); rows past the degree are 0
-        rows = np.zeros((d + 1, len(c)), dtype=complex)
-        for k in range(min(d, p.degree) + 1):
-            q = Polynomial.of(*(math.comb(i, k) * pi for i, pi in enumerate(p.coeffs[k:], k)))
-            rows[k] = q(c)
-        return rows
-
     # a Polynomial evaluates elementwise on arrays
-    return Summand(eval=p, sigma=int(p.degree), deriv=dv, exact_poly=p)
+    return Summand(eval=p, sigma=int(p.degree), exact_poly=p)
 
 
 def sermul_combined(q1: complex, q2: complex) -> Summand:
@@ -539,8 +470,7 @@ def factor_from_spec(spec: str) -> Summand:
         # cut; nu^a itself is never built, so any finite a is a factor
         a = _real(args[0])
         lf = identity_factor()
-        return replace(lf, eval=lambda pts: a * lf.eval(pts),
-                       deriv=lambda c, d: a * lf.deriv(c, d))
+        return replace(lf, eval=lambda pts: a * lf.eval(pts))
     _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
     if fam == "id":
         return identity_factor()

@@ -359,3 +359,13 @@ def test_left_direction(capsys):
     )
     assert rc == 0
     assert value_line(out) == "value -0.125"
+
+
+@pytest.mark.parametrize("cmd", ["sum --f log", "prod --f id"])
+def test_left_sum_below_the_cut_exits_one(capsys, cmd):
+    # the Taylor centre -64 lies on the cut of ln nu: an error, not a value
+    # read on the upper branch, 2 pi i (y - x + 1) off
+    argv = [*cmd.split(), "--direction", "left", "--from=1-0.5i", "--to=2.3-0.5i"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert "(-64-0j)" in err

@@ -20,7 +20,6 @@ from fracsum.specialfn import (
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     log_gamma,
-    polygamma,
     riemann_zeta,
     riemann_zeta_sderiv,
 )
@@ -134,10 +133,6 @@ def test_digamma_frozen_points():
 def test_digamma_pole_rejected():
     with pytest.raises(PoleError):
         digamma(-3.0)
-    with pytest.raises(PoleError):
-        polygamma(3, -2.0)
-    with pytest.raises(ParameterError):
-        polygamma(-1, 2.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,34 +156,32 @@ def test_log_gamma_derivative_matches_digamma(re, im):
     "z", [64.0, 65.0, 1e4, 100 + 3j, 4.0, 8.0, 0.3, 0.7 + 0.2j, 2.5 + 1j, -2.5 + 0.5j, -7.3]
 )
 def test_polygamma_at_tail_centers(z):
-    # the engine's tail centers (64 and up) and small centers reached only
-    # through the recurrence lift, and for m = 0 the reflection
+    # digamma, the one polygamma order left, at the engine's tail centers (64
+    # and up) and at small centers reached only through the recurrence lift
+    # and the reflection
     mpmath = pytest.importorskip("mpmath")
     tol = 1e-15 if abs(z) >= 64 else 1e-14
-    for m in range(9):
-        want = complex(mpmath.polygamma(m, z))
-        assert abs(polygamma(m, z) - want) <= tol * abs(want), m
-    assert polygamma(0, z) == digamma(z)
+    want = complex(mpmath.digamma(z))
+    assert abs(digamma(z) - want) <= tol * abs(want)
 
 
 @pytest.mark.filterwarnings("error")
 def test_polygamma_array_matches_mpmath_and_scalar_calls():
-    # both sides of the recurrence lift to Re z >= 16, and for m = 0 the
-    # reflection at Re z < 1/2, in both half-planes and next to the real axis
+    # digamma on arrays: both sides of the recurrence lift to Re z >= 16, and
+    # the reflection at Re z < 1/2, in both half-planes and next to the real axis
     mpmath = pytest.importorskip("mpmath")
     re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 3.7, 15.5, 15.9, 16.0, 16.1, 40.0, 1e3])
     im = np.array([-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0])
     z = (re[:, None] + 1j * im[None, :]).ravel()
-    for m in range(4):
-        got = polygamma(m, z)
-        assert got.shape == z.shape
-        for w, g in zip(z, got):
-            assert g == polygamma(m, complex(w))
-            want = complex(mpmath.polygamma(m, complex(w)))
-            assert abs(g - want) <= 1e-14 * abs(want), (m, w)
-    assert type(polygamma(1, 2.5)) is complex
+    got = digamma(z)
+    assert got.shape == z.shape
+    for w, g in zip(z, got):
+        assert g == digamma(complex(w))
+        want = complex(mpmath.digamma(complex(w)))
+        assert abs(g - want) <= 1e-14 * abs(want), w
+    assert type(digamma(2.5)) is complex
     with pytest.raises(PoleError):
-        polygamma(2, np.array([1.5, 2.0 + 1j, -3.0, 4.0]))
+        digamma(np.array([1.5, 2.0 + 1j, -3.0, 4.0]))
 
 
 def test_hurwitz_zeta_basel():

@@ -1,5 +1,5 @@
-"""Builtin summand families: values, derivative metadata, domain guards,
-and the CLI spec grammar."""
+"""Builtin summand families: values, the engine's Taylor tables of them,
+domain guards, and the CLI spec grammar."""
 import cmath
 import math
 import re
@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracsum import summands
-from fracsum.engine import SCHEDULE, frac_sum_left, frac_sum_right
+from fracsum import engine, specialfn, summands
+from fracsum.engine import SCHEDULE, _dft, _taylor_table, frac_sum_left, frac_sum_right
 from fracsum.errors import BranchCutError, DomainError, ParameterError, SummandSpecError
 from fracsum.polycore import MAX_DEGREE
 
@@ -62,27 +62,24 @@ DERIV_FAMILIES = [
 
 @pytest.mark.parametrize("f,center,orders", DERIV_FAMILIES)
 def test_derivatives_match_finite_differences(f, center, orders):
-    assert f.deriv is not None or not orders
-    if not orders:
-        return
-    # row k of deriv(c, d) is f^(k)(c)/k!, a column per centre
-    rows = f.deriv(np.array([center], dtype=complex), max(orders))
+    # row k of the engine's Taylor table is f^(k)(c)/k!, a column per centre
+    rows = _taylor_table(f, np.array([center], dtype=complex), max(orders, default=f.sigma))
     for k in orders:
         want = _fd(f.eval, center, k)
         got = math.factorial(k) * rows[k, 0]
         assert abs(got - want) <= 5e-5 * (1 + abs(want)), k
     if f.exact_poly is not None:
-        # a polynomial's rows vanish past its degree
-        assert not f.deriv(np.array([center], dtype=complex), 8)[len(f.exact_poly.coeffs):].any()
-    # the engine asks for the whole table once, at all the tail centres of the
-    # schedule together; its columns must be the one-centre calls, and its
-    # shape (d + 1, n) at the summand's degree and past it
-    centres = np.array(SCHEDULE, dtype=complex)
-    for d in (f.sigma, 6):
-        table = f.deriv(centres, d)
-        assert table.shape == (d + 1, len(centres)) and table.dtype == complex
-        for j, c in enumerate(centres):
-            assert table[:, j].tolist() == f.deriv(centres[j:j + 1], d)[:, 0].tolist(), (d, c)
+        # a polynomial's rows vanish past its degree, to the table's rounding:
+        # a few eps of max|f| on the circle of radius r = c/4 (N = 32 nodes at
+        # degree 8), in row k times r^k
+        r, m = center / 4.0, len(f.exact_poly.coeffs)
+        tail = _taylor_table(f, np.array([center], dtype=complex), 8)[m:, 0] * r ** np.arange(m, 9)
+        fmax = np.abs(f.eval(center + r * _dft(32, 8)[0])).max()
+        assert np.abs(tail).max() <= 16 * np.finfo(float).eps * fmax
+    # the engine asks for the whole table once, at all the tail centres of
+    # the schedule together, at the summand's degree
+    table = _taylor_table(f, np.array(SCHEDULE, dtype=complex), f.sigma)
+    assert table.shape == (f.sigma + 1, len(SCHEDULE)) and table.dtype == complex
 
 
 @pytest.mark.parametrize("f,ref", [
@@ -101,17 +98,33 @@ def test_derivatives_match_finite_differences(f, center, orders):
      lambda mp, t: 1 - 2 * t + 0.5j * t**2 + 3 * t**3),
     (summands.identity_factor(), lambda mp, t: mp.log(t)),
     (summands.factor_from_spec("pow:a=0.5+1i"), lambda mp, t: mp.mpc(0.5, 1) * mp.log(t)),
+    (summands.recip(), lambda mp, t: 1 / t),
+    (summands.bd_term(0.7), lambda mp, t: 2 * t * mp.log(1 + 0.7 / t)),
+    (summands.tanh_factor(), lambda mp, t: mp.log(t * t + 1)),
+    # q^nu is entire but grows like e^(|ln q| |nu|), so its rows alias at
+    # (|ln q| r)^N / N! rather than 2^-64; with r = 512 at n = 8192 the contract
+    # holds for |ln q| up to about 1e-3 (the engine builds no table for geom)
+    (summands.geom(0.999), lambda mp, t: mp.mpf(0.999) ** t),
 ], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv", "zpp_term",
         "ln_gamma_summand", "pow:0.5", "pow:1+1i", "pow:2.5-0.5i", "log", "poly",
-        "factor:id", "factor:pow:a=0.5+1i"])
+        "factor:id", "factor:pow:a=0.5+1i", "recip", "bd_term", "tanh_factor", "geom"])
 def test_log_gamma_family_derivatives_match_mpmath(f, ref):
-    # every row a higher Taylor degree would ask for, not only k <= sigma
+    # every row a higher Taylor degree would ask for, not only k <= sigma, at
+    # the 8 tail centres. The table's contract is rounding of a few eps of
+    # max|f| on the Cauchy circle, of radius r = n/16 for N = 16 nodes, in
+    # row k times r^k.
     mpmath = pytest.importorskip("mpmath")
-    rows = f.deriv(np.array([7.0 + 0j]), 6)
+    centres = np.array(SCHEDULE, dtype=float)
+    rows = _taylor_table(f, centres, 6)
+    r = centres / 16.0
+    w, _ = _dft(16, 6)
+    fmax = np.abs(f.eval((centres + r * w[:, None]).ravel())).reshape(16, -1).max(axis=0)
+    eps = np.finfo(float).eps
     with mpmath.workdps(30):
-        for k in range(7):
-            want = complex(mpmath.diff(lambda t: ref(mpmath, t), 7, k) / mpmath.factorial(k))
-            assert abs(rows[k, 0] - want) <= 1e-13 * abs(want), k
+        for j, c in enumerate(SCHEDULE):
+            want = mpmath.taylor(lambda t: ref(mpmath, t), c, 6)
+            for k in range(7):
+                assert abs(rows[k, j] - complex(want[k])) * r[j] ** k <= 16 * eps * fmax[j], (c, k)
 
 
 def _counted(monkeypatch, *names):
@@ -128,20 +141,39 @@ def _counted(monkeypatch, *names):
     return calls
 
 
-@pytest.mark.parametrize("f,polygammas", [
-    (summands.lognu_lnfact(), 3), (summands.nu_lnfact(), 4)], ids=["lognu_lnfact", "nu_lnfact"])
-def test_each_base_series_runs_once_per_table(monkeypatch, f, polygammas):
-    calls = _counted(monkeypatch, "log_gamma", "polygamma")
-    f.deriv(np.array(SCHEDULE, dtype=complex), f.sigma)
-    assert calls == {"log_gamma": 1, "polygamma": polygammas}
+@pytest.mark.parametrize("f", [summands.lognu_lnfact(), summands.nu_lnfact()],
+                         ids=["lognu_lnfact", "nu_lnfact"])
+def test_each_base_series_runs_once_per_table(monkeypatch, f):
+    # the table is one eval call, so ln Gamma runs once, and no polygamma is left
+    calls = _counted(monkeypatch, "log_gamma")
+    evals = []
+    traced = replace(f, eval=lambda pts: evals.append(pts.size) or f.eval(pts))
+    _taylor_table(traced, np.array(SCHEDULE, dtype=float), f.sigma)
+    assert calls == {"log_gamma": 1} and evals == [16 * len(SCHEDULE)]
+    assert not hasattr(specialfn, "polygamma")
 
 
-def test_one_deriv_call_per_sum():
+def test_one_taylor_table_per_sum(monkeypatch):
     calls = []
     f = summands.lnfact()
-    traced = replace(f, deriv=lambda c, d: calls.append(d) or f.deriv(c, d))
-    assert frac_sum_right(traced, 1.0, 0.5).value == frac_sum_right(f, 1.0, 0.5).value
+    want = frac_sum_right(f, 1.0, 0.5).value
+    table = engine._taylor_table
+    monkeypatch.setattr(engine, "_taylor_table", lambda g, c, d: calls.append(d) or table(g, c, d))
+    assert frac_sum_right(f, 1.0, 0.5).value == want
     assert calls == [f.sigma]
+
+
+@pytest.mark.parametrize("f", [summands.lnfact(), summands.vlnv(), summands.power(0.5),
+                               summands.zpp_term(0.5), summands.log_summand()],
+                         ids=["lnfact", "vlnv", "pow:0.5", "zpp_term", "log"])
+def test_real_family_has_real_rows_between_real_bounds(f):
+    # a real orbit gives real centres, and a family real on the real axis
+    # real rows; complex centres, or a complex exponent, keep them complex
+    centres = np.array(SCHEDULE, dtype=float)
+    assert _taylor_table(f, centres, f.sigma).dtype == np.float64
+    assert _taylor_table(f, centres.astype(complex), f.sigma).dtype == complex
+    assert _taylor_table(summands.power(0.5 + 1j), centres, 3).dtype == complex
+    assert frac_sum_right(f, 1.3, 0.45).value.imag == 0.0
 
 
 def test_recip_values_and_sigma():
@@ -379,7 +411,7 @@ def test_from_spec_rejects_malformed():
 
 
 def test_factor_from_spec_families():
-    # a factor's summand is its logarithm: eval, deriv and exact_poly alike
+    # a factor's summand is its logarithm: eval, Taylor rows and exact_poly alike
     f = summands.factor_from_spec("id")
     assert f.sigma == 0 and f.exact_poly is None
     pts = np.array([2.0, 3.5], dtype=complex)
@@ -388,7 +420,8 @@ def test_factor_from_spec_families():
         f.domain_guard(np.array([-1.0 + 0j]))
     g = summands.factor_from_spec("pow:a=0.5")
     assert np.allclose(g.eval(pts), 0.5 * np.log(pts))
-    assert g.deriv(np.array([4.0 + 0j]), 1)[1, 0] == pytest.approx(0.5 / 4.0)  # d/dnu of 0.5 ln nu
+    # d/dnu of 0.5 ln nu
+    assert _taylor_table(g, np.array([4.0 + 0j]), 1)[1, 0] == pytest.approx(0.5 / 4.0)
     h = summands.factor_from_spec("geom:q=2")
     assert np.allclose(h.eval(pts), pts * math.log(2.0))
     assert h.exact_poly.coeffs == (0j, complex(math.log(2.0)))  # nu ln 2
