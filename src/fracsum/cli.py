@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .catalog import (
     figure_csv,
@@ -123,13 +124,7 @@ def _format_result(res: SumResult, mode: str) -> str:
             f"converged {'true' if res.converged else 'false'}",
         ])
     if mode == "json":
-        return json.dumps({
-            "value": [res.value.real, res.value.imag],
-            "err_estimate": res.err_estimate,
-            "n_used": res.n_used,
-            "converged": res.converged,
-            "levels": [[n, [v.real, v.imag]] for n, v in res.levels],
-        }, indent=2)
+        return json.dumps(asdict(res), default=lambda z: [z.real, z.imag], indent=2)
     return (
         "value_re,value_im,err_estimate,n_used,converged\n"
         f"{res.value.real!r},{res.value.imag!r},{res.err_estimate!r},"

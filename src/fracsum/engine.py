@@ -57,7 +57,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import BranchCutError, DomainError, ParameterError
 from .polycore import Polynomial, poly_sum
 
 __all__ = [
@@ -97,8 +97,8 @@ class Summand:
     coefficients from eval alone (see _taylor_table): for sigma >= 1, eval
     also gets complex points on small circles about the tail centres
     +-64 ... +-8192, and for sigma = 0 the centres themselves.
-    domain_guard(points) -> bool array marks points where f is defined; a
-    guard may instead raise a DomainError subclass to name the fault.
+    domain_guard(points) -> bool array marks points where f is defined; the
+    engine raises the DomainError that names a point it rejects, and its role.
     rate_hint is the expected leading error decay exponent p in n^{-p} (1
     unless stated), used by Richardson extrapolation; it may be complex, as
     a complex power's is, with Re p > 0.
@@ -367,7 +367,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         # and friends) the deepest levels are dominated by rounding noise,
         # and the extrapolation must stop at the noise floor instead of
         # folding that noise in.
-        e = abs(diag[-1] - diag[-2]) if j else math.inf
+        e = abs(diag[-1] - diag[-2])
         claim = max(e, walk)
         if math.isfinite(claim) and claim < err:
             value, err, m_used, kept_walk = diag[-1], claim, j + 1, walk
@@ -432,17 +432,25 @@ def frac_product(
     sum of ln g.
 
     f is the summand of ln g: its eval, sigma and domain_guard all
-    describe nu -> ln g(nu). The factor families' guards raise BranchCutError
-    where g meets the cut of the principal log. left selects the left-tail sum,
-    and tol is as in frac_sum_right.
-    err_estimate is the product's error, |value| times the sum's, and
-    converged holds the SumResult rule for it. A product past the float
-    range is inf with err_estimate inf, and is not converged.
+    describe nu -> ln g(nu). left selects the left-tail sum, and tol is as in
+    frac_sum_right. err_estimate is the product's error, |value| times the
+    sum's, and converged holds the SumResult rule for it. A product past the
+    float range is inf with err_estimate inf, and is not converged.
 
     Raises:
-        DomainError: as frac_sum_right, BranchCutError from a factor's guard.
+        ParameterError: tol is not positive and finite.
+        BranchCutError: ln g is undefined at a point of the sum, where g meets
+            the cut of the principal log; the message names the point's role
+            (orbit point, Taylor centre or Taylor-circle point).
+        DomainError: the classical tail of a level, or the sum, is not finite.
     """
-    res = (frac_sum_left if left else frac_sum_right)(f, x, y, tol=tol)
+    try:
+        res = (frac_sum_left if left else frac_sum_right)(f, x, y, tol=tol)
+    except DomainError as exc:
+        if exc.value is None:  # a non-finite tail or sum names no point
+            raise
+        raise BranchCutError(f"{exc}: the factor's logarithm meets its branch cut there",
+                             exc.value) from exc
     value = complex(np.exp(res.value))
     err = float(abs(value) * res.err_estimate) if np.isfinite(value) else math.inf
     return SumResult(value, err, res.n_used, _converged(value, err, tol),

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Summand
-from .errors import BranchCutError, DomainError, ParameterError, SummandSpecError
+from .errors import DomainError, ParameterError, SummandSpecError
 from .polycore import MAX_DEGREE, Polynomial
 from .specialfn import log_gamma
 
@@ -63,8 +63,8 @@ def _nonzero(pts: np.ndarray) -> np.ndarray:
 
 
 def recip() -> Summand:
-    """f(nu) = 1/nu; decays, so sigma is -1 (p_n = 0)."""
-    return Summand(eval=lambda pts: 1.0 / pts, domain_guard=_nonzero)
+    """f(nu) = 1/nu, the power nu^-1; decays, so sigma is -1 (p_n = 0)."""
+    return power(-1)
 
 
 def power(a: complex) -> Summand:
@@ -276,32 +276,19 @@ def zpp_term(x: complex) -> Summand:
     )
 
 
-def _cut_guard(arg: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """The guard of a product's summand ln g: BranchCutError at the first point
-    where the argument of the principal log, arg(pts), is on its cut."""
-
-    def guard(pts: np.ndarray) -> np.ndarray:
-        ok = _off_cut(arg(pts))
-        if not ok.all():
-            bad = complex(pts[~ok][0])
-            raise BranchCutError(f"ln {arg(bad)} at orbit point {bad}: the argument lies "
-                                 "on the closed negative real axis, the cut of the principal log", bad)
-        return ok
-
-    return guard
-
-
 def identity_factor() -> Summand:
-    """The product summand of the factor nu: ln nu."""
-    return replace(log_summand(), domain_guard=_cut_guard(lambda pts: pts))
+    """The product summand of the factor nu: ln nu, the summand log_summand.
+    frac_product reports a point where nu meets the cut as a BranchCutError."""
+    return log_summand()
 
 
 def tanh_factor() -> Summand:
-    """The product summand of the factor nu^2 + 1: ln(nu^2 + 1) ~ 2 ln nu, sigma = 0."""
+    """The product summand of the factor nu^2 + 1: ln(nu^2 + 1) ~ 2 ln nu, sigma = 0.
+    Its guard rejects the points where nu^2 + 1 lies on the cut of the log."""
     return Summand(
         eval=lambda pts: np.log(pts * pts + 1.0),
         sigma=0,
-        domain_guard=_cut_guard(lambda pts: pts * pts + 1.0),
+        domain_guard=lambda pts: _off_cut(pts * pts + 1.0),
     )
 
 

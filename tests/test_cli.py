@@ -368,4 +368,4 @@ def test_left_sum_below_the_cut_exits_one(capsys, cmd):
     argv = [*cmd.split(), "--direction", "left", "--from=1-0.5i", "--to=2.3-0.5i"]
     rc, out, err = run(capsys, argv)
     assert rc == 1 and out == ""
-    assert "(-64-0j)" in err
+    assert "Taylor centre (-64-0j)" in err

@@ -421,12 +421,15 @@ def test_non_convergence_is_flagged_not_fabricated():
     assert res.err_estimate > tol
 
 
-@pytest.mark.parametrize("f, error", [(log_summand(), DomainError),
-                                      (identity_factor(), BranchCutError)])
-def test_domain_error_names_the_point_as_a_complex(f, error):
-    # between real bounds the orbit is float64; the error still names a complex
+@pytest.mark.parametrize("run, error", [(frac_sum_right, DomainError),
+                                        (frac_product, BranchCutError)], ids=["sum", "prod"])
+def test_domain_error_names_the_point_as_a_complex(run, error):
+    # between real bounds the orbit is float64; the error still names a
+    # complex. The factor nu's summand ln nu sums like log_summand, and its
+    # product reports the cut as a BranchCutError
     with pytest.raises(error, match=r"orbit point \(-2\.5\+0j\)") as info:
-        frac_sum_right(f, -2.5, 1.25)
+        run(identity_factor(), -2.5, 1.25)
+    assert type(info.value) is error
     assert type(info.value.value) is complex
 
 
@@ -489,7 +492,8 @@ def test_left_sum_across_the_cut_is_a_domain_error(f, x, y):
 
 
 def test_left_product_across_the_cut_is_a_branch_cut_error():
-    with pytest.raises(BranchCutError, match=r"\(-64-0j\)"):
+    # -64 is the Taylor centre, not an orbit point
+    with pytest.raises(BranchCutError, match=r"Taylor centre \(-64-0j\)"):
         frac_product(identity_factor(), 1 - 0.5j, 2.3 - 0.5j, left=True)
 
 
@@ -525,6 +529,27 @@ def test_product_branch_cut_is_a_hard_error():
     # orbit passes through negative reals without touching zero
     with pytest.raises(BranchCutError):
         frac_product(identity_factor(), -2.5, 1.25)
+
+
+def test_product_of_nu_squared_plus_one_names_the_orbit_point_on_the_cut():
+    # (2i)^2 + 1 = -3 lies on the cut of ln
+    with pytest.raises(BranchCutError, match=r"summand undefined at orbit point 2j\b") as info:
+        frac_product(tanh_factor(), 2j, 3.5 + 2j)
+    assert info.value.value == 2j
+
+
+def test_product_types_only_the_faults_that_name_a_point():
+    # ln g undefined at a point that eval names is the cut, as a guard's point is
+    def ev(pts):
+        raise DomainError("ln g undefined at 3", 3 + 0j)
+
+    with pytest.raises(BranchCutError, match="ln g undefined at 3") as info:
+        frac_product(Summand(eval=ev), 1.0, 0.5)
+    assert info.value.value == 3
+    # a tail that overflows names no point, and keeps its type
+    with pytest.raises(DomainError, match="tail is not finite") as info:
+        frac_product(Summand(eval=np.exp), 1.0, 0.5)
+    assert type(info.value) is DomainError
 
 
 def test_product_orbit_through_zero_is_domain_error():

@@ -416,8 +416,11 @@ def test_factor_from_spec_families():
     assert f.sigma == 0 and f.exact_poly is None
     pts = np.array([2.0, 3.5], dtype=complex)
     assert np.allclose(f.eval(pts), np.log(pts))
-    with pytest.raises(BranchCutError):  # the factor nu meets the cut at nu = -1
-        f.domain_guard(np.array([-1.0 + 0j]))
+    # the factor nu meets the cut at nu = -1: the guard marks it, the product raises
+    assert f == summands.identity_factor() == summands.log_summand()
+    assert f.domain_guard(np.array([-1.0 + 0j])).tolist() == [False]
+    with pytest.raises(BranchCutError, match=r"orbit point \(-2\.5\+0j\)"):
+        engine.frac_product(f, -2.5, 1.25)
     g = summands.factor_from_spec("pow:a=0.5")
     assert np.allclose(g.eval(pts), 0.5 * np.log(pts))
     # d/dnu of 0.5 ln nu
