@@ -1,8 +1,8 @@
 """Fractional sums and products with complex bounds.
 
 The defining construction: pick an approximating polynomial sequence p_n
-(degree-sigma Taylor polynomials of the summand f, centered at the tail
-offset n), then
+(here the degree-sigma polynomial that interpolates the summand f at the
+sigma + 1 orbit points where the window [n+x, n+y] starts), then
 
     sum_{nu=x}^{y} f(nu)
         = lim_n [ sum_{nu=n+x}^{n+y} p_n(nu)          (exact, via poly_sum)
@@ -29,13 +29,14 @@ its factor g; its summand is that logarithm.
 
 Numerical notes that matter here:
 
-* The polynomial part is evaluated in centered form,
-  sum_k f^(k)(n)/k! * W_k with W_k = poly_sum(z^k, x, y), which equals
-  poly_sum(p_n, n+x, n+y) exactly (translation identity for polynomials)
-  while avoiding the catastrophic cancellation of expanded coefficients.
+* The polynomial part is in Newton's form, one weight per node n + x + i
+  (right) or y - n - i (left): the window sum of p_n is
+  sum_m C(L, m + 1) D^m f(first node), L = y - x + 1. The differences D^m
+  pass a node's rounding on with a gain up to 2^sigma: sigma <= 4 on every
+  perfbench workload, and a power(a) of larger sigma does not converge.
 * Between real bounds the orbit is float64, so a real-analytic summand is
-  evaluated in real arithmetic and its terms are summed as one part, and its
-  Taylor table is real; complex bounds and poly_sum stay complex.
+  evaluated in real arithmetic, its terms are summed as one part and its
+  polynomial part is real; complex bounds and poly_sum stay complex.
 * The closed routes, an exact polynomial's poly_sum and an integer length's
   classical loop, run no level: they report levels = () and n_used the
   classical terms they evaluated (0 for a polynomial).
@@ -45,6 +46,9 @@ Numerical notes that matter here:
   sum, inside the rounding floor below (8 eps of the cancelling magnitude
   plus the terms' random walk). A tail that is not finite (a summand
   growing past the float range) is a DomainError.
+* Rounding k + x to its binade's grid shifts a binade's points alike, by d,
+  and a level's terms by about d (f(last) - f(first)), which the random
+  walk misses; that error of S(n), extrapolated like S(n), joins the floor.
 * A tableau row depends only on the row before it, so the diagonal entry of
   a level prefix is, bit for bit, the extrapolant of that prefix alone.
 """
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -86,19 +89,17 @@ DEFAULT_TOL = 1e-8
 class Summand:
     """A summand f with the asymptotic metadata the engine needs.
 
-    eval returns the values elementwise over a numpy array of points: float64
-    points between real bounds, on every route, complex128 points otherwise. A
-    summand that is complex on the real axis must promote real points itself
-    (as summands.binom does); a real evaluation of it gives NaN, which ends
-    in a DomainError, never in a silently real value. sigma is the
-    asymptotic degree, an integer: the Taylor polynomial of f of this degree
-    at the tail center makes f - p_n vanish along the tail; -1, the default,
-    means p_n = 0, for a summand with f(n+z) -> 0. The engine takes p_n's
-    coefficients from eval alone (see _taylor_table): for sigma >= 1, eval
-    also gets complex points on small circles about the tail centres
-    +-64 ... +-8192, and for sigma = 0 the centres themselves.
-    domain_guard(points) -> bool array marks points where f is defined; the
-    engine raises the DomainError that names a point it rejects, and its role.
+    eval returns the values elementwise over a numpy array of orbit points,
+    the only points it is given: float64 between real bounds, on every route,
+    complex128 otherwise. A summand that is complex on the real axis must
+    promote real points itself (as summands.binom does); a real evaluation
+    of it gives NaN, which ends in a DomainError, never in a silently real
+    value. sigma is the asymptotic degree, an integer: the polynomial of
+    this degree that interpolates f at sigma + 1 orbit points past n makes
+    f - p_n vanish along the tail; -1, the default, means p_n = 0, for a
+    summand with f(n+z) -> 0. domain_guard(points) -> bool array marks points
+    where f is defined; the engine raises the DomainError that names the
+    orbit point it rejects.
     rate_hint is the expected leading error decay exponent p in n^{-p} (1
     unless stated), used by Richardson extrapolation; it may be complex, as
     a complex power's is, with Re p > 0.
@@ -119,7 +120,7 @@ class Summand:
     domain_guard: Callable[[np.ndarray], np.ndarray] | None = None
     rate_hint: float | complex = 1.0
     exact_poly: Polynomial | None = None
-    # not a field: kept for callers that still look for Taylor data on a summand
+    # not a field: kept for callers that still look for derivatives on a summand
     deriv: ClassVar[None] = None
 
     def __post_init__(self):
@@ -213,50 +214,25 @@ def _richardson_row(prev: list[complex], v: complex, order: int, rate: complex) 
     return row
 
 
-def _guard_check(f: Summand, pts: np.ndarray, what: str = "orbit point") -> None:
+def _guard_check(f: Summand, pts: np.ndarray) -> None:
     if f.domain_guard is None:
         return
     ok = np.asarray(f.domain_guard(pts), dtype=bool)
     if not ok.all():
         bad = complex(pts[~ok][0])
-        raise DomainError(f"summand undefined at {what} {bad}", bad)
+        raise DomainError(f"summand undefined at orbit point {bad}", bad)
 
 
-@lru_cache(maxsize=None)
-def _dft(nodes: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of unity w_j = exp(2 pi i j / N) and the rows k = 0..degree
-    of the inverse DFT, w_j^(-k) / N, with jk reduced mod N first."""
-    j = np.arange(nodes)
-    jk = np.outer(np.arange(degree + 1), j) % nodes
-    w, inv = np.exp(2j * math.pi * j / nodes), np.exp(-2j * math.pi * jk / nodes) / nodes
-    w.flags.writeable = inv.flags.writeable = False  # shared by every caller
-    return w, inv
-
-
-def _taylor_table(f: Summand, centres: np.ndarray, degree: int) -> np.ndarray:
-    """The Taylor rows f^(k)(c)/k!, k = 0..degree, a column per centre, from
-    one eval call: Cauchy's integral on N nodes of the circle of radius
-    r = |c| 2^(-64/N) about c, inverted by one DFT (Fornberg, ACM TOMS 7,
-    1981; Bornemann, Found. Comput. Math. 11, 2011). Row k times r^k carries
-    about eps max|f| on the circle of rounding and, for f analytic on the
-    disc of radius |c|, rows k + N, k + 2N, ... alias into it at (r/|c|)^N =
-    2^-64. N is 1 at degree 0, where the row is f(c), else the smallest power
-    of two >= max(16, 2 degree + 2). The points pass the domain guard first,
-    and real centres give real rows where f is real at the real point c + r.
-    """
-    if degree == 0:
-        _guard_check(f, centres, "Taylor centre")
-        return np.asarray(f.eval(centres))[None]
-    nodes = 1 << (max(16, 2 * degree + 2) - 1).bit_length()
-    w, inv = _dft(nodes, degree)
-    r = np.abs(centres) * 2.0 ** (-64 / nodes)
-    pts = (centres + r * w[:, None]).ravel()
-    _guard_check(f, pts, "Taylor-circle point")
-    vals = np.asarray(f.eval(pts)).reshape(nodes, len(centres))
-    rows = (inv @ vals) / r ** np.arange(degree + 1)[:, None]
-    if np.isrealobj(centres) and not vals[0].imag.any():
-        return rows.real
-    return rows
+def _newton_weights(length: float | complex, degree: int) -> np.ndarray:
+    """K_i, i = 0..degree: sum_i K_i f(a + i) is the sum over [a, a + length - 1]
+    of the polynomial through the f(a + i). Newton's p(a + t) = sum_m C(t, m) D^m f(a)
+    sums to sum_m C(length, m + 1) D^m f(a) (hockey stick), with D^m f(a) =
+    sum_i (-1)^(m-i) C(m, i) f(a + i). A real length gives float64 weights."""
+    c = [1.0]  # c[m] = C(length, m)
+    for m in range(degree + 1):
+        c.append(c[-1] * (length - m) / (m + 1))
+    k = range(degree + 1)
+    return np.array([sum((-1) ** (m - i) * math.comb(m, i) * c[m + 1] for m in k[i:]) for i in k])
 
 
 def _converged(value: complex, err: float, tol: float) -> bool:
@@ -280,7 +256,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         raise ParameterError(f"tol must be positive and finite, got {tol}")
     x, y = complex(x), complex(y)
     if f.exact_poly is not None:
-        # p_n == f at every center, so S(n_j) = poly_sum(f, x, y) identically
+        # p_n == f, so S(n_j) = poly_sum(f, x, y) identically
         # for every level (and for both tail directions).
         return _result(poly_sum(f.exact_poly, x, y), 0.0, 0, (), tol)
     # Between real bounds the orbit is real, and its points are float64.
@@ -310,25 +286,25 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     # domain before any evaluation: the stop below saves evaluations, not the
     # domain, and an orbit that meets a pole or a cut past the stop still has
     # no limit. Level j evaluates the orbit points past n_{j-1}: f is added at
-    # pos and subtracted at neg.
-    ns, last = SCHEDULE, SCHEDULE[-1]
-    ks = np.arange(0, last, dtype=float)
+    # pos and subtracted at neg. pos runs on to the last level's nodes.
+    ns, last, sig = SCHEDULE, SCHEDULE[-1], f.sigma
+    ks = np.arange(0, last + sig + 1, dtype=float)
     if left:
-        pos, neg = yo - ks, (xo - 1.0) - ks
+        pos, neg = yo - ks, (xo - 1.0) - ks[:last]
     else:
         # nu + x - 1 as ks + x: x - 1 would drop the digits of a small x
-        pos, neg = ks + xo, (ks + 1.0) + yo
+        pos, neg = ks + xo, (ks[:last] + 1.0) + yo
+    step, pos0, neg0 = (-1.0, yo, xo - 1.0) if left else (1.0, xo, yo + 1.0)
     _guard_check(f, pos)
     _guard_check(f, neg)
-    # The Taylor table from one eval call: the polynomial part at every center
-    # of the schedule, for the levels run and for the floor's share of the
-    # skipped ones. The centres take the orbit's dtype.
+    # The polynomial part of every level from one eval call, for the levels
+    # run and for the floor's share of the skipped ones: p_n interpolates f
+    # at the nodes pos[n], ..., pos[n + sigma], where the window starts.
     poly = [0j] * len(ns)
-    if f.sigma >= 0:
-        weights = np.array([poly_sum(Polynomial.monomial(k), x, y) for k in range(f.sigma + 1)])
-        centres = np.array(ns, dtype=type(xo))
-        table = _taylor_table(f, -centres if left else centres, f.sigma)
-        poly = (weights[:, None] * table).sum(axis=0).tolist()
+    if sig >= 0:
+        nodes = pos[np.add.outer(ns, np.arange(sig + 1))]
+        vals = np.asarray(f.eval(nodes.ravel())).reshape(nodes.shape)
+        poly = (vals @ _newton_weights(yo - xo + 1.0, sig)).tolist()
     order, rate = RICHARDSON_ORDER, f.rate_hint
     eps = float(np.finfo(float).eps)
     levels: list[tuple[int, complex]] = []
@@ -336,7 +312,8 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     diag: list[complex] = []
     tail, cancel_mag = 0j, 0.0
     term_sq = 0.0  # sum of |f|^2 over the points evaluated so far
-    value, err, m_used, kept_walk = None, math.inf, len(ns), math.inf
+    shift, shift_row = 0j, []  # the orbit's rounding in S(n) (module notes), its row
+    value, err, m_used, kept_round = None, math.inf, len(ns), math.inf
     for j, (lo, n) in enumerate(zip([0, *ns], ns)):
         vals_pos = np.asarray(f.eval(pos[lo:n]))
         vals_neg = np.asarray(f.eval(neg[lo:n]))
@@ -344,6 +321,8 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         if not np.isfinite(tail):
             raise DomainError(f"the classical tail is not finite at level n = {n}")
         term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
+        for o, v, base, s in ((pos, vals_pos, pos0, 1.0), (neg, vals_neg, neg0, -1.0)):
+            shift += s * complex((o[lo] - step * ks[lo]) - base) * complex(v[-1] - v[0])
         # Every evaluated term carries about 2 eps * |f| of rounding, and a
         # level's terms add it up like a random walk. Neighbouring deep levels
         # carry alike amounts of that noise, so the tableau's last difference
@@ -354,10 +333,11 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         # A level whose terms leave S(n) unchanged has reached the limit: the
         # terms further out add less again (see the module notes).
         if j and levels[-1][1] == levels[-2][1]:
-            value, err, m_used, kept_walk = levels[-1][1], 0.0, j + 1, walk
+            value, err, m_used, kept_round = levels[-1][1], 0.0, j + 1, walk + abs(shift)
             break
         # diag[j] extrapolates the first j + 1 levels (see the module notes)
         row = _richardson_row(row, levels[-1][1], order, rate)
+        shift_row = _richardson_row(shift_row, shift, order, rate)
         diag.append(row[-1])
         if j < order:
             continue
@@ -370,7 +350,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         e = abs(diag[-1] - diag[-2])
         claim = max(e, walk)
         if math.isfinite(claim) and claim < err:
-            value, err, m_used, kept_walk = diag[-1], claim, j + 1, walk
+            value, err, m_used, kept_round = diag[-1], claim, j + 1, walk + abs(shift_row[-1])
         # Stop once no deeper prefix can be kept: a deeper prefix claims at
         # least its own walk, the walk never decreases as points are added,
         # and this walk already reaches the best claim, so no deeper claim is
@@ -379,19 +359,19 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         if value is not None and walk >= err:
             break
     if value is None:
-        value, err, kept_walk = diag[-1], e, walk
+        value, err, kept_round = diag[-1], e, walk + abs(shift_row[-1])
     if math.isfinite(err):
         # Level agreement cannot certify below the rounding floor of the
-        # tail/poly-part cancellation plus the terms' own rounding; an
-        # estimate under that floor would overstate the precision actually
-        # delivered. The absolute term, a subnormal ulp per term of the
-        # schedule, keeps that floor above zero for summands scaled into the
-        # subnormal range, where the relative parts underflow. A level the
-        # stop skipped counts too: its S(n) = tail + p(n) has reached the
-        # value, so its tail is value - p(n).
+        # tail/poly-part cancellation plus the terms' and the orbit's own
+        # rounding (kept_round); an estimate under that floor would overstate
+        # the precision delivered. The absolute term, a subnormal ulp per term
+        # of the schedule, keeps that floor above zero for summands scaled
+        # into the subnormal range, where the relative parts underflow. A
+        # level the stop skipped counts too: its S(n) = tail + p(n) has
+        # reached the value, so its tail is value - p(n).
         for p_term in poly[len(levels):]:
             cancel_mag = max(cancel_mag, abs(value - p_term) + abs(p_term))
-        floor = 8.0 * eps * cancel_mag + kept_walk + 2 * last * math.ulp(0.0)
+        floor = 8.0 * eps * cancel_mag + kept_round + 2 * last * math.ulp(0.0)
         err = max(err, floor)
     return _result(value, err, ns[m_used - 1], levels, tol)
 
@@ -416,10 +396,11 @@ def frac_sum_left(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TO
     """Left fractional sum: the tail limit runs toward -infinity.
 
     Per level: S(m) = poly_sum(p_{-m}, x-m, y-m) + sum_{k=0}^{m-1}
-    (f(y-k) - f(x-1-k)). The summand's sigma must describe f toward
-    -infinity, where f must be analytic on the Taylor circles about -m: a cut
-    along the negative real axis (ln nu, nu^a) is a DomainError there,
-    whichever side of it the bounds lie on.
+    (f(y-k) - f(x-1-k)), p_{-m} through f at y-m, ..., y-m-sigma; sigma must
+    describe f toward -infinity. f is asked for on the orbit only, so bounds
+    off the real axis keep it on one side of a cut along the negative real
+    axis (ln nu, nu^a), and the sum is that branch's. An orbit point on the
+    cut is a DomainError; bounds on opposite sides of it do not converge.
     """
     return _frac_sum(f, x, y, tol, left=True)
 
@@ -439,9 +420,8 @@ def frac_product(
 
     Raises:
         ParameterError: tol is not positive and finite.
-        BranchCutError: ln g is undefined at a point of the sum, where g meets
-            the cut of the principal log; the message names the point's role
-            (orbit point, Taylor centre or Taylor-circle point).
+        BranchCutError: ln g is undefined at an orbit point, where g meets
+            the cut of the principal log; the message names the point.
         DomainError: the classical tail of a level, or the sum, is not finite.
     """
     try:
@@ -459,7 +439,7 @@ def frac_product(
 
 def reflected(f: Summand) -> Summand:
     """The summand nu -> f(-nu), with guard and exact polynomial carried
-    along; its Taylor rows come from its eval like any summand's."""
+    along; its polynomial part comes from its eval like any summand's."""
     g = None
     if f.domain_guard is not None:
         g = lambda pts: f.domain_guard(-pts)
@@ -479,10 +459,10 @@ def reflected(f: Summand) -> Summand:
 def mirror_check(f: Summand, a: complex, b: complex) -> MirrorCheck:
     """Compare the right sum over [a, b] with the left sum of f(-nu) over [-b, -a].
 
-    The two agree for the Taylor realization: the reflected summand's orbit
-    is f's own, and its Taylor circles are f's, their nodes met in the
-    mirror order, so the difference measures only round-off and is a sharp
-    internal consistency check.
+    The reflected summand's orbit is f's own, and so are the nodes of its
+    polynomial parts, met in the same order with the same weights: both sums
+    evaluate f at the same points and round alike, so the difference is 0
+    unless the engine treats the two directions differently.
     """
     right = frac_sum_right(f, a, b)
     left = frac_sum_left(reflected(f), -b, -a)

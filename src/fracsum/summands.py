@@ -2,9 +2,9 @@
 
 Each constructor returns a Summand whose sigma and Richardson rate hint
 match the family's actual tail behavior; getting these right is what makes
-the engine converge at the advertised rates. The Taylor coefficients are the
-engine's, taken from eval on circles about the tail centres, so a family
-states its values, its domain and this metadata, and no derivatives. The
+the engine converge at the advertised rates. The approximating polynomial is
+the engine's, interpolated from eval at orbit points, so a family states its
+values, its domain and this metadata, and no derivatives. The
 closed set here (rather than a generic expression parser) exists precisely
 so this metadata is always correct.
 """
@@ -63,15 +63,15 @@ def _nonzero(pts: np.ndarray) -> np.ndarray:
 
 
 def recip() -> Summand:
-    """f(nu) = 1/nu, the power nu^-1; decays, so sigma is -1 (p_n = 0)."""
-    return power(-1)
+    """f(nu) = 1/nu: power(-1), sigma -1, evaluated as 1.0 / pts (np.power's bits, faster)."""
+    return replace(power(-1), eval=lambda pts: 1.0 / pts)
 
 
 def power(a: complex) -> Summand:
     """f(nu) = nu^a, principal branch.
 
-    An integer a >= 0 is a polynomial, whose Taylor polynomial of degree a
-    is exact. Every other a takes one rule: the Taylor degree is sigma = -1
+    An integer a >= 0 is a polynomial, which is its own p_n and is summed
+    exactly. Every other a takes one rule: the degree of p_n is sigma = -1
     (no polynomial) where the terms decay, Re a < 0, and otherwise
     sigma = floor(Re a) + 1, plus 2 for a complex a. The level values then
     approach the sum like n^{-p} with p = sigma + 1 - a, which Richardson
@@ -83,8 +83,8 @@ def power(a: complex) -> Summand:
     with them.
 
     Raises:
-        ParameterError: a polynomial degree or a Taylor degree sigma above
-            MAX_DEGREE, before any Taylor table is taken.
+        ParameterError: a polynomial degree, or the degree sigma of p_n
+            (the Taylor degree of the message), above MAX_DEGREE.
     """
     a = complex(a)
     is_real = a.imag == 0.0
@@ -293,7 +293,7 @@ def tanh_factor() -> Summand:
 
 
 def poly_summand(coeffs: tuple[complex, ...]) -> Summand:
-    """Custom polynomial summand from ascending coefficients; Taylor is exact."""
+    """Custom polynomial summand from ascending coefficients; summed exactly."""
     p = Polynomial.of(*coeffs)
     if p.degree == -math.inf:
         return Summand(eval=lambda pts: np.zeros_like(pts), exact_poly=p)

@@ -252,12 +252,12 @@ def test_levels_are_doubling_diagnostics():
 # and the cases marked stops run fewer levels. The geometric tails of binom
 # and the left geom(2) stop on equal levels, at n_used 128.
 EARLY_STOP_CASES = [
-    (lnfact(), 1.0, 0.5, False, complex(-0.053850349202296775, 0.0), 1024, True, True),
-    (ln_gamma_2nu(), 0.7, 1.45, False, complex(1.689640933937152, 0.0), 1024, True, False),
-    (nu_lnfact(), 1.0, 0.5, False, complex(-0.04895384037052668, 0.0), 1024, False, False),
+    (lnfact(), 1.0, 0.5, False, complex(-0.05385034920380171, 0.0), 1024, True, True),
+    (ln_gamma_2nu(), 0.7, 1.45, False, complex(1.6896409339338432, 0.0), 1024, True, True),
+    (nu_lnfact(), 1.0, 0.5, False, complex(-0.04895383933817729, 0.0), 1024, False, True),
     (binom(2.5, 0.3), 0.0, 2.5, False, complex(1.9268964684175443, 0.0), 128, True, True),
-    (vlnv(), 1.0, 0.5, False, complex(-0.12732300724712128, 0.0), 1024, True, False),
-    (power(0.5), 0.3, 1.45, False, complex(1.8938722560102248, 0.0), 2048, True, False),
+    (vlnv(), 1.0, 0.5, False, complex(-0.1273230072480499, 0.0), 1024, True, True),
+    (power(0.5), 0.3, 1.45, False, complex(1.893872256010231, 0.0), 2048, True, True),
     (recip(), 1.0, -0.5, False, complex(-1.3862943611198904, 0.0), 2048, True, False),
     (geom(2.0), 0.3, 1.45, True, complex(4.233016613672666, 0.0), 128, True, True),
 ]
@@ -275,12 +275,12 @@ def test_early_stop_keeps_value_and_prefix(f, x, y, left, value, n_used, converg
 # gives these to the last digits only: the floor then reads a skipped level's
 # tail from the run instead of taking it as value - p(n).
 EARLY_STOP_ERRS = [
-    1.8338049456140066e-10,
-    1.0368356464035787e-09,
-    1.0094427190595438e-06,
+    1.833804945614007e-10,
+    1.0400832664103495e-09,
+    1.0094427190595442e-06,
     3.9830153966137055e-15,
-    2.0973090720320198e-10,
-    1.5978990370359641e-12,
+    2.097309072303104e-10,
+    4.562859298167845e-12,
     3.601602023422802e-15,
     8.95545251106078e-15,
 ]
@@ -478,23 +478,57 @@ def test_left_sum_continues_growing_geometric():
     assert abs(res.value - want) < 1e-9
 
 
-@pytest.mark.parametrize("f", [log_summand(), vlnv(), power(0.5)], ids=["log", "vlnv", "pow:0.5"])
+def _left_sum_reference(mp, name, x, y):
+    """The left sum of f over [x, y] as the right sum of f(-nu) over
+    [a, b] = [-y, -x], where ln(-nu) = ln nu + c, c = i pi sgn(Im y), on the
+    reflected orbit."""
+    a, b = -mp.mpc(y), -mp.mpc(x)
+    c = 1j * mp.pi * mp.sign(mp.mpc(y).imag)
+    if name == "log":
+        return mp.loggamma(b + 1) - mp.loggamma(a) + c * (b - a + 1)
+    if name == "vlnv":  # -nu (ln nu + c); sum nu ln nu = zeta'(-1, b + 1) - zeta'(-1, a)
+        return mp.zeta(-1, a, 1) - mp.zeta(-1, b + 1, 1) - c * (b * (b + 1) - (a - 1) * a) / 2
+    return mp.exp(c / 2) * (mp.zeta(-0.5, a) - mp.zeta(-0.5, b + 1))  # nu^(1/2) e^(c/2)
+
+
+@pytest.mark.parametrize("name, f", [("log", log_summand()), ("vlnv", vlnv()),
+                                     ("pow:0.5", power(0.5))], ids=["log", "vlnv", "pow:0.5"])
 @pytest.mark.parametrize("x, y", [(1 - 0.5j, 2.3 - 0.5j), (1 + 0.5j, 2.3 + 0.5j)])
-def test_left_sum_across_the_cut_is_a_domain_error(f, x, y):
-    # the Taylor centres -n lie on the cut of ln nu and nu^a, and the circles
-    # about them cross it, whichever side the orbit runs on; below the cut a
-    # table read on the upper branch would put the sum 2 pi i (y - x + 1) off
-    calls = []
-    counted = replace(f, eval=lambda pts: calls.append(pts) or f.eval(pts))
-    with pytest.raises(DomainError, match="Taylor"):
-        frac_sum_left(counted, x, y)
-    assert calls == []
+def test_left_sum_off_the_cut_matches_mpmath(name, f, x, y):
+    # the orbit y - k, x - 1 - k runs beside the cut of ln nu and nu^a, on
+    # one branch, and eval sees no other point: the sum is that branch's,
+    # not 2 pi i (y - x + 1) off as a read on the other branch would be
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(_left_sum_reference(mpmath, name, x, y))
+    res = frac_sum_left(f, x, y)
+    assert res.converged
+    assert abs(res.value - want) <= 10.0 * res.err_estimate
 
 
-def test_left_product_across_the_cut_is_a_branch_cut_error():
-    # -64 is the Taylor centre, not an orbit point
-    with pytest.raises(BranchCutError, match=r"Taylor centre \(-64-0j\)"):
-        frac_product(identity_factor(), 1 - 0.5j, 2.3 - 0.5j, left=True)
+def test_left_product_off_the_cut_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(mpmath.exp(_left_sum_reference(mpmath, "log", 1 - 0.5j, 2.3 - 0.5j)))
+    res = frac_product(identity_factor(), 1 - 0.5j, 2.3 - 0.5j, left=True)
+    assert res.converged
+    assert abs(res.value - want) <= 10.0 * res.err_estimate
+
+
+def test_left_sum_across_the_cut_does_not_converge():
+    # bounds on opposite sides of the cut: the two tails run on different
+    # branches, 2 pi i apart per term, and no level value settles
+    res = frac_sum_left(log_summand(), 1 - 0.5j, 2.3 + 0.5j)
+    assert not res.converged
+    assert res.err_estimate > 1.0
+
+
+def test_left_sum_on_the_cut_names_the_orbit_point():
+    # between real bounds the left orbit 2.5, 1.5, 0.5, -0.5, ... meets the cut
+    with pytest.raises(DomainError, match=r"orbit point \(-0\.5\+0j\)"):
+        frac_sum_left(log_summand(), 1.0, 2.5)
+    with pytest.raises(BranchCutError, match=r"orbit point \(-0\.5\+0j\)"):
+        frac_product(identity_factor(), 1.0, 2.5, left=True)
 
 
 # --------------------------------------------------------------------- products

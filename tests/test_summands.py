@@ -1,5 +1,5 @@
-"""Builtin summand families: values, the engine's Taylor tables of them,
-domain guards, and the CLI spec grammar."""
+"""Builtin summand families: values, the orbit points the engine evaluates
+them at, domain guards, and the CLI spec grammar."""
 import cmath
 import math
 import re
@@ -9,122 +9,181 @@ import numpy as np
 import pytest
 
 from fracsum import engine, specialfn, summands
-from fracsum.engine import SCHEDULE, _dft, _taylor_table, frac_sum_left, frac_sum_right
+from fracsum.engine import SCHEDULE, frac_sum_left, frac_sum_right, mirror_check
 from fracsum.errors import BranchCutError, DomainError, ParameterError, SummandSpecError
-from fracsum.polycore import MAX_DEGREE
+from fracsum.polycore import MAX_DEGREE, poly_sum
 
-
-def _fd(ev, t: complex, k: int):
-    """Central finite difference of order k from scalar array evals.
-
-    Steps grow with k so the h^{-k} rounding amplification stays below the
-    h^2 truncation term.
-    """
-    if k == 1:
-        h = 1e-5
-        pts = np.array([t - h, t + h], dtype=complex)
-        a, b = ev(pts)
-        return (b - a) / (2 * h)
-    if k == 2:
-        h = 1e-3
-        pts = np.array([t - h, t, t + h], dtype=complex)
-        a, b, c = ev(pts)
-        return (a - 2 * b + c) / h**2
-    if k == 3:
-        h = 1e-2
-        pts = np.array([t - 2 * h, t - h, t + h, t + 2 * h], dtype=complex)
-        a, b, c, d = ev(pts)
-        return (-a + 2 * b - 2 * c + d) / (2 * h**3)
-    raise AssertionError(k)
-
-
-# (pytest id, summand, center, orders); the id names the family and its parameters
-DERIV_FAMILIES = [
-    pytest.param(f, center, orders, id=f"{name}-{center}-{orders}")
-    for name, f, center, orders in [
-        ("pow:(0.5+0j)", summands.power(0.5), 2.0, (1, 2, 3)),
-        ("pow:(1+1j)", summands.power(1 + 1j), 3.0, (1, 2, 3)),
-        ("log", summands.log_summand(), 5.0, (1, 2, 3)),
-        ("vlnv", summands.vlnv(), 4.0, (1, 2, 3)),
-        ("lnfact", summands.lnfact(), 6.0, (1, 2, 3)),
-        ("lngamma(2nu+1)", summands.ln_gamma_2nu(), 5.0, (1, 2, 3)),
-        ("lognu*lnfact", summands.lognu_lnfact(), 7.0, (1, 2, 3)),
-        ("nu*lnfact", summands.nu_lnfact(), 7.0, (1, 2, 3)),
-        ("zpp:(0.5+0j)", summands.zpp_term(0.5), 6.0, (1, 2, 3)),
-        ("poly:(1+0j),(-2+0j),0.5j,(3+0j)", summands.poly_summand((1.0, -2.0, 0.5j, 3.0)), 1.5,
-         (1, 2, 3)),
-        ("nu^2+1", summands.tanh_factor(), 3.0, ()),
-        ("id", summands.identity_factor(), 4.0, (1, 2, 3)),
-        ("factor:pow:a=0.5+1i", summands.factor_from_spec("pow:a=0.5+1i"), 4.0, (1, 2, 3)),
+# (summand, mpmath reference), ids naming the family and its parameters
+MPMATH_FAMILIES = [
+    pytest.param(f, ref, id=name) for name, f, ref in [
+        ("lnfact", summands.lnfact(), lambda mp, t: mp.loggamma(t + 1)),
+        ("ln_gamma_2nu", summands.ln_gamma_2nu(), lambda mp, t: mp.loggamma(2 * t + 1)),
+        ("lognu_lnfact", summands.lognu_lnfact(), lambda mp, t: mp.log(t) * mp.loggamma(t + 1)),
+        ("nu_lnfact", summands.nu_lnfact(), lambda mp, t: t * mp.loggamma(t + 1)),
+        ("vlnv", summands.vlnv(), lambda mp, t: t * mp.log(t)),
+        ("zpp_term", summands.zpp_term(0.5), lambda mp, t: 2 * t * mp.log(2 * t + 0.5) ** 2),
+        ("ln_gamma_summand", summands.ln_gamma_summand(), lambda mp, t: mp.loggamma(t)),
+        ("pow:0.5", summands.power(0.5), lambda mp, t: t ** 0.5),
+        ("pow:1+1i", summands.power(1 + 1j), lambda mp, t: t ** mp.mpc(1, 1)),
+        ("pow:2.5-0.5i", summands.power(2.5 - 0.5j), lambda mp, t: t ** mp.mpc(2.5, -0.5)),
+        ("log", summands.log_summand(), lambda mp, t: mp.log(t)),
+        ("poly", summands.poly_summand((1.0, -2.0, 0.5j, 3.0)),
+         lambda mp, t: 1 - 2 * t + 0.5j * t**2 + 3 * t**3),
+        ("factor:id", summands.identity_factor(), lambda mp, t: mp.log(t)),
+        ("factor:pow:a=0.5+1i", summands.factor_from_spec("pow:a=0.5+1i"),
+         lambda mp, t: mp.mpc(0.5, 1) * mp.log(t)),
+        ("recip", summands.recip(), lambda mp, t: 1 / t),
+        ("bd_term", summands.bd_term(0.7), lambda mp, t: 2 * t * mp.log(1 + 0.7 / t)),
+        ("tanh_factor", summands.tanh_factor(), lambda mp, t: mp.log(t * t + 1)),
+        ("geom", summands.geom(0.999), lambda mp, t: mp.mpf(0.999) ** t),
     ]
 ]
+# points of right and left orbits: real ones, and complex ones on both sides
+# of the real axis, left of it too, where a left sum's orbit runs
+REAL_POINTS = np.array([0.75, 1.3, 7.25, 64.5, 1000.125, 8192.75])
+COMPLEX_POINTS = np.array([2.5 + 1.5j, 0.3 - 0.5j, -3.2 + 0.7j, -70.5 - 0.5j, 64.25 + 30j,
+                           -8192.5 + 0.5j])
 
 
-@pytest.mark.parametrize("f,center,orders", DERIV_FAMILIES)
-def test_derivatives_match_finite_differences(f, center, orders):
-    # row k of the engine's Taylor table is f^(k)(c)/k!, a column per centre
-    rows = _taylor_table(f, np.array([center], dtype=complex), max(orders, default=f.sigma))
-    for k in orders:
-        want = _fd(f.eval, center, k)
-        got = math.factorial(k) * rows[k, 0]
-        assert abs(got - want) <= 5e-5 * (1 + abs(want)), k
-    if f.exact_poly is not None:
-        # a polynomial's rows vanish past its degree, to the table's rounding:
-        # a few eps of max|f| on the circle of radius r = c/4 (N = 32 nodes at
-        # degree 8), in row k times r^k
-        r, m = center / 4.0, len(f.exact_poly.coeffs)
-        tail = _taylor_table(f, np.array([center], dtype=complex), 8)[m:, 0] * r ** np.arange(m, 9)
-        fmax = np.abs(f.eval(center + r * _dft(32, 8)[0])).max()
-        assert np.abs(tail).max() <= 16 * np.finfo(float).eps * fmax
-    # the engine asks for the whole table once, at all the tail centres of
-    # the schedule together, at the summand's degree
-    table = _taylor_table(f, np.array(SCHEDULE, dtype=complex), f.sigma)
-    assert table.shape == (f.sigma + 1, len(SCHEDULE)) and table.dtype == complex
-
-
-@pytest.mark.parametrize("f,ref", [
-    (summands.lnfact(), lambda mp, t: mp.loggamma(t + 1)),
-    (summands.ln_gamma_2nu(), lambda mp, t: mp.loggamma(2 * t + 1)),
-    (summands.lognu_lnfact(), lambda mp, t: mp.log(t) * mp.loggamma(t + 1)),
-    (summands.nu_lnfact(), lambda mp, t: t * mp.loggamma(t + 1)),
-    (summands.vlnv(), lambda mp, t: t * mp.log(t)),
-    (summands.zpp_term(0.5), lambda mp, t: 2 * t * mp.log(2 * t + 0.5) ** 2),
-    (summands.ln_gamma_summand(), lambda mp, t: mp.loggamma(t)),
-    (summands.power(0.5), lambda mp, t: t ** 0.5),
-    (summands.power(1 + 1j), lambda mp, t: t ** mp.mpc(1, 1)),
-    (summands.power(2.5 - 0.5j), lambda mp, t: t ** mp.mpc(2.5, -0.5)),
-    (summands.log_summand(), lambda mp, t: mp.log(t)),
-    (summands.poly_summand((1.0, -2.0, 0.5j, 3.0)),
-     lambda mp, t: 1 - 2 * t + 0.5j * t**2 + 3 * t**3),
-    (summands.identity_factor(), lambda mp, t: mp.log(t)),
-    (summands.factor_from_spec("pow:a=0.5+1i"), lambda mp, t: mp.mpc(0.5, 1) * mp.log(t)),
-    (summands.recip(), lambda mp, t: 1 / t),
-    (summands.bd_term(0.7), lambda mp, t: 2 * t * mp.log(1 + 0.7 / t)),
-    (summands.tanh_factor(), lambda mp, t: mp.log(t * t + 1)),
-    # q^nu is entire but grows like e^(|ln q| |nu|), so its rows alias at
-    # (|ln q| r)^N / N! rather than 2^-64; with r = 512 at n = 8192 the contract
-    # holds for |ln q| up to about 1e-3 (the engine builds no table for geom)
-    (summands.geom(0.999), lambda mp, t: mp.mpf(0.999) ** t),
-], ids=["lnfact", "ln_gamma_2nu", "lognu_lnfact", "nu_lnfact", "vlnv", "zpp_term",
-        "ln_gamma_summand", "pow:0.5", "pow:1+1i", "pow:2.5-0.5i", "log", "poly",
-        "factor:id", "factor:pow:a=0.5+1i", "recip", "bd_term", "tanh_factor", "geom"])
-def test_log_gamma_family_derivatives_match_mpmath(f, ref):
-    # every row a higher Taylor degree would ask for, not only k <= sigma, at
-    # the 8 tail centres. The table's contract is rounding of a few eps of
-    # max|f| on the Cauchy circle, of radius r = n/16 for N = 16 nodes, in
-    # row k times r^k.
+@pytest.mark.parametrize("f,ref", MPMATH_FAMILIES)
+@pytest.mark.parametrize("pts", [REAL_POINTS, COMPLEX_POINTS], ids=["real", "complex"])
+def test_family_eval_matches_mpmath(f, ref, pts):
     mpmath = pytest.importorskip("mpmath")
-    centres = np.array(SCHEDULE, dtype=float)
-    rows = _taylor_table(f, centres, 6)
-    r = centres / 16.0
-    w, _ = _dft(16, 6)
-    fmax = np.abs(f.eval((centres + r * w[:, None]).ravel())).reshape(16, -1).max(axis=0)
+    got = f.eval(pts)
+    with mpmath.workdps(30):
+        for p, v in zip(pts, got):
+            want = complex(ref(mpmath, mpmath.mpmathify(complex(p) if p.imag else p.real)))
+            assert abs(v - want) <= 64 * np.finfo(float).eps * max(1.0, abs(want)), p
+
+
+@pytest.mark.parametrize("f,ref", MPMATH_FAMILIES)
+def test_log_gamma_family_derivatives_match_mpmath(f, ref):
+    # the engine's derivative data are the forward differences D^k f(n) of
+    # eval at the nodes n, n + 1, ... of Newton's form. Every difference a
+    # degree of 6 would take, at the 8 level nodes, is mpmath's but for the
+    # nodes' rounding, which D^k adds up with a gain of at most 2^k
+    mpmath = pytest.importorskip("mpmath")
+    nodes = np.add.outer(np.array(SCHEDULE, dtype=float), np.arange(7.0))
+    vals = f.eval(nodes.ravel()).reshape(nodes.shape)
     eps = np.finfo(float).eps
     with mpmath.workdps(30):
-        for j, c in enumerate(SCHEDULE):
-            want = mpmath.taylor(lambda t: ref(mpmath, t), c, 6)
+        for row, v in zip(nodes, vals):
+            want = [ref(mpmath, mpmath.mpf(t)) for t in row]
+            fmax = max(abs(complex(w)) for w in want)
             for k in range(7):
-                assert abs(rows[k, j] - complex(want[k])) * r[j] ** k <= 16 * eps * fmax[j], (c, k)
+                got = sum((-1) ** (k - i) * math.comb(k, i) * v[i] for i in range(k + 1))
+                exact = sum((-1) ** (k - i) * math.comb(k, i) * want[i] for i in range(k + 1))
+                assert abs(got - complex(exact)) <= 2**k * 16 * eps * fmax, (row[0], k)
+
+
+def _traced(f):
+    """f with an eval that records the points of every call."""
+    calls = []
+    return replace(f, eval=lambda pts: calls.append(pts) or f.eval(pts)), calls
+
+
+def _is_orbit_point(pts, start, step, count):
+    """True where a point is start + step * k, k = 0..count - 1, to its rounding."""
+    k = np.round(((pts - start) / step).real)
+    near = np.abs(pts - (start + step * k)) <= 4 * np.finfo(float).eps * np.abs(pts)
+    return near & (k >= 0) & (k < count)
+
+
+NODE_FAMILIES = {"lnfact": summands.lnfact(), "vlnv": summands.vlnv(),
+                 "pow:0.5": summands.power(0.5), "zpp_term": summands.zpp_term(0.5),
+                 "log": summands.log_summand(), "tanh_factor": summands.tanh_factor(),
+                 "nu_lnfact": summands.nu_lnfact()}
+
+
+# (family, x, y, left): the real left orbit below meets no cut of ln(nu^2 + 1)
+NODE_CASES = [pytest.param(f, *bounds, id=f"{name}-{bounds}")
+              for name, f in NODE_FAMILIES.items()
+              for bounds in [(1.0, 0.5, False), (1.3, 0.45, False),
+                             (0.5 + 0.5j, 2.25 - 0.5j, False), (1 - 0.5j, 2.3 - 0.5j, True)]]
+NODE_CASES.append(pytest.param(summands.tanh_factor(), 1.3, 4.45, True,
+                               id="tanh_factor-(1.3, 4.45, True)"))
+
+
+@pytest.mark.parametrize("f, x, y, left", NODE_CASES)
+def test_eval_sees_only_orbit_points(f, x, y, left):
+    # one node call for the polynomial parts of all the levels, then two calls
+    # per level run; every point is a point of the orbit, float64 between real
+    # bounds, the nodes reaching sigma past the last level
+    g, calls = _traced(f)
+    res = (frac_sum_left if left else frac_sum_right)(g, x, y)
+    count = SCHEDULE[-1] + f.sigma + 1
+    assert len(calls) == 1 + 2 * len(res.levels)
+    assert calls[0].size == len(SCHEDULE) * (f.sigma + 1)
+    real = complex(x).imag == complex(y).imag == 0.0
+    step = -1.0 if left else 1.0
+    pos = y if left else x
+    neg = x - 1.0 if left else y + 1.0
+    for pts in calls:
+        assert pts.dtype == (np.float64 if real else np.complex128)
+        on_orbit = _is_orbit_point(pts, pos, step, count) | _is_orbit_point(pts, neg, step, count)
+        assert on_orbit.all()
+    if real:
+        assert res.value.imag == 0.0
+
+
+@pytest.mark.parametrize("f", [summands.lognu_lnfact(), summands.nu_lnfact()],
+                         ids=["lognu_lnfact", "nu_lnfact"])
+def test_each_base_series_runs_once_per_table(monkeypatch, f):
+    # the nodes of every level's polynomial part are one eval call, so ln Gamma
+    # runs once for them, and no polygamma is left
+    calls = _counted(monkeypatch, "log_gamma")
+    before = []
+    traced = replace(f, eval=lambda pts: before.append(calls["log_gamma"]) or f.eval(pts))
+    frac_sum_right(traced, 1.0, 0.5)
+    assert before[:2] == [0, 1] and calls["log_gamma"] == len(before)
+    assert not hasattr(specialfn, "polygamma")
+
+
+@pytest.mark.parametrize("f", [summands.lnfact(), summands.vlnv(), summands.power(0.5),
+                               summands.zpp_term(0.5), summands.log_summand()],
+                         ids=["lnfact", "vlnv", "pow:0.5", "zpp_term", "log"])
+def test_real_family_has_real_rows_between_real_bounds(f):
+    # a real orbit gives real nodes, a family real on the real axis real node
+    # values, and a real length real weights; complex bounds, or a complex
+    # exponent, keep them complex
+    g, calls = _traced(f)
+    assert frac_sum_right(g, 1.3, 0.45).value.imag == 0.0
+    assert calls[0].dtype == f.eval(calls[0]).dtype == np.float64
+    assert engine._newton_weights(0.45 - 1.3 + 1.0, f.sigma).dtype == np.float64
+    frac_sum_right(g, 1.3 + 0.5j, 0.45 + 0.5j)
+    assert calls[-1].dtype == np.complex128
+    h, calls = _traced(summands.power(0.5 + 1j))
+    frac_sum_right(h, 1.3, 0.45)
+    assert calls[0].dtype == np.float64 and h.eval(calls[0]).dtype == np.complex128
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 0.5), (0.25, 1.75), (2.0, -0.75),
+                                  (1 + 0.5j, -0.5 + 0.5j), (0.5 - 0.25j, 2.25 - 0.25j)])
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_interpolation_is_exact_on_a_cubic(x, y, left):
+    # p_n interpolates a cubic at 4 points, so it is the cubic. Dyadic bounds
+    # make the orbit, the values, the weights and the tail exact in doubles:
+    # every level is poly_sum's value but for poly_sum's own rounding
+    p = summands.poly_summand((1.0, -2.0, 0.5, 3.0))
+    f = replace(p, exact_poly=None)
+    assert f.sigma == 3
+    want = poly_sum(p.exact_poly, x, y)
+    res = (frac_sum_left if left else frac_sum_right)(f, x, y)
+    for n, v in res.levels:
+        assert abs(v - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want)), n
+
+
+@pytest.mark.parametrize("f", [summands.log_summand(), summands.vlnv(), summands.power(0.5),
+                               summands.power(0.7 + 0.4j), summands.lnfact(),
+                               summands.zpp_term(0.5), summands.bd_term(0.7),
+                               summands.tanh_factor()],
+                         ids=["log", "vlnv", "pow:0.5", "pow:0.7+0.4i", "lnfact", "zpp_term",
+                              "bd_term", "tanh_factor"])
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (0.7, 2.3), (1.3, 0.45), (1 + 0.5j, 2.3 - 0.2j)])
+def test_mirror_check_is_exact(f, a, b):
+    # the left sum of f(-nu) evaluates f at the right sum's points, nodes
+    # included, and weights them alike
+    assert mirror_check(f, a, b).abs_diff == 0.0
 
 
 def _counted(monkeypatch, *names):
@@ -139,41 +198,6 @@ def _counted(monkeypatch, *names):
 
         monkeypatch.setattr(summands, name, counted)
     return calls
-
-
-@pytest.mark.parametrize("f", [summands.lognu_lnfact(), summands.nu_lnfact()],
-                         ids=["lognu_lnfact", "nu_lnfact"])
-def test_each_base_series_runs_once_per_table(monkeypatch, f):
-    # the table is one eval call, so ln Gamma runs once, and no polygamma is left
-    calls = _counted(monkeypatch, "log_gamma")
-    evals = []
-    traced = replace(f, eval=lambda pts: evals.append(pts.size) or f.eval(pts))
-    _taylor_table(traced, np.array(SCHEDULE, dtype=float), f.sigma)
-    assert calls == {"log_gamma": 1} and evals == [16 * len(SCHEDULE)]
-    assert not hasattr(specialfn, "polygamma")
-
-
-def test_one_taylor_table_per_sum(monkeypatch):
-    calls = []
-    f = summands.lnfact()
-    want = frac_sum_right(f, 1.0, 0.5).value
-    table = engine._taylor_table
-    monkeypatch.setattr(engine, "_taylor_table", lambda g, c, d: calls.append(d) or table(g, c, d))
-    assert frac_sum_right(f, 1.0, 0.5).value == want
-    assert calls == [f.sigma]
-
-
-@pytest.mark.parametrize("f", [summands.lnfact(), summands.vlnv(), summands.power(0.5),
-                               summands.zpp_term(0.5), summands.log_summand()],
-                         ids=["lnfact", "vlnv", "pow:0.5", "zpp_term", "log"])
-def test_real_family_has_real_rows_between_real_bounds(f):
-    # a real orbit gives real centres, and a family real on the real axis
-    # real rows; complex centres, or a complex exponent, keep them complex
-    centres = np.array(SCHEDULE, dtype=float)
-    assert _taylor_table(f, centres, f.sigma).dtype == np.float64
-    assert _taylor_table(f, centres.astype(complex), f.sigma).dtype == complex
-    assert _taylor_table(summands.power(0.5 + 1j), centres, 3).dtype == complex
-    assert frac_sum_right(f, 1.3, 0.45).value.imag == 0.0
 
 
 def test_recip_values_and_sigma():
@@ -411,7 +435,7 @@ def test_from_spec_rejects_malformed():
 
 
 def test_factor_from_spec_families():
-    # a factor's summand is its logarithm: eval, Taylor rows and exact_poly alike
+    # a factor's summand is its logarithm: eval, sums and exact_poly alike
     f = summands.factor_from_spec("id")
     assert f.sigma == 0 and f.exact_poly is None
     pts = np.array([2.0, 3.5], dtype=complex)
@@ -423,8 +447,8 @@ def test_factor_from_spec_families():
         engine.frac_product(f, -2.5, 1.25)
     g = summands.factor_from_spec("pow:a=0.5")
     assert np.allclose(g.eval(pts), 0.5 * np.log(pts))
-    # d/dnu of 0.5 ln nu
-    assert _taylor_table(g, np.array([4.0 + 0j]), 1)[1, 0] == pytest.approx(0.5 / 4.0)
+    # the sum of 0.5 ln nu over [1, 1/2] is 0.5 ln Gamma(3/2)
+    assert frac_sum_right(g, 1.0, 0.5).value == pytest.approx(0.5 * math.lgamma(1.5))
     h = summands.factor_from_spec("geom:q=2")
     assert np.allclose(h.eval(pts), pts * math.log(2.0))
     assert h.exact_poly.coeffs == (0j, complex(math.log(2.0)))  # nu ln 2
