@@ -36,6 +36,7 @@ from .specialfn import (
     log_gamma,
     riemann_zeta,
 )
+from .summands import _format_complex as format_complex
 
 __all__ = [
     "Identity",
@@ -59,23 +60,6 @@ _LN2 = math.log(2.0)
 # Evaluation point for each record: a tuple of (name, value) parameter pairs,
 # formatted canonically for the report. Singleton identities use ().
 Point = tuple[tuple[str, complex], ...]
-
-
-def _fmt_num(v: float) -> str:
-    if v.is_integer() and abs(v) < 1e15:  # inf and nan are not integers
-        return str(int(v))
-    return repr(v)
-
-
-def format_complex(z: complex) -> str:
-    """Canonical text for grid values and results: A, A+Bi, or A-Bi."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return _fmt_num(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    if z.real == 0.0:
-        return f"{_fmt_num(z.imag)}i"
-    return f"{_fmt_num(z.real)}{sign}{_fmt_num(abs(z.imag))}i"
 
 
 # The points all come from the fixed grids of the catalog table, so the cache

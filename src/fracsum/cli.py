@@ -12,14 +12,6 @@ import json
 import sys
 from dataclasses import asdict
 
-from .catalog import (
-    figure_csv,
-    format_complex,
-    get_identity,
-    identity_ids,
-    run_all,
-    run_identity,
-)
 from .engine import (
     DEFAULT_TOL,
     SumResult,
@@ -28,7 +20,7 @@ from .engine import (
     frac_sum_right,
 )
 from .errors import FracsumError, SummandSpecError
-from .summands import factor_from_spec, from_spec, parse_complex
+from .summands import _format_complex, factor_from_spec, from_spec, parse_complex
 
 _HANDLED = (FracsumError, OSError)
 
@@ -118,7 +110,7 @@ def _emit(text: str, path: str | None) -> None:
 def _format_result(res: SumResult, mode: str) -> str:
     if mode == "plain":
         return "\n".join([
-            f"value {format_complex(res.value)}",
+            f"value {_format_complex(res.value)}",
             f"err_estimate {res.err_estimate!r}",
             f"n_used {res.n_used}",
             f"converged {'true' if res.converged else 'false'}",
@@ -146,6 +138,8 @@ def _cmd_sum_or_prod(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity_run(args: argparse.Namespace) -> int:
+    from .catalog import run_all, run_identity
+
     reports = run_all() if args.identity is None else (run_identity(args.identity),)
     if args.output == "plain":
         text = "\n\n".join(r.to_text() for r in reports)
@@ -166,6 +160,8 @@ def _cmd_identity_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity_list(args: argparse.Namespace) -> int:
+    from .catalog import get_identity, identity_ids
+
     idents = [get_identity(i) for i in identity_ids()]
     if args.output == "plain":
         text = "\n".join(
@@ -187,6 +183,8 @@ def _cmd_identity_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .catalog import figure_csv
+
     _emit(figure_csv(args.which), args.path)
     return 0
 

@@ -14,9 +14,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:  # imported where used: fractions imports decimal, a sum needs neither
+    from fractions import Fraction
 
 __all__ = [
     "Polynomial",
@@ -98,6 +101,8 @@ def bernoulli(K: int) -> tuple[Fraction, ...]:
     """
     if not 0 <= K <= MAX_DEGREE:
         raise ParameterError(f"bernoulli index bound must be in [0, {MAX_DEGREE}], got {K}")
+    from fractions import Fraction
+
     vals = [Fraction(1)]
     for m in range(1, K + 1):
         acc = Fraction(m + 1)
@@ -114,6 +119,8 @@ def _faulhaber_row(d: int) -> tuple[tuple[int, float], ...]:
     Each coefficient is the correctly rounded double of its exact rational
     value; rows are built once per degree, at most MAX_DEGREE + 1 of them.
     """
+    from fractions import Fraction
+
     # P_d(z) = (1/(d+1)) sum_{j=0}^{d} C(d+1,j) B_j z^{d+1-j}; no constant
     # term, so P_d(0) = 0 automatically.
     b = bernoulli(d)

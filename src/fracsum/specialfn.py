@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, PoleError
-from .polycore import bernoulli
 
 __all__ = [
     "Constants",
@@ -34,9 +33,17 @@ __all__ = [
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# B_2k as doubles for the digamma asymptotic series and the Euler-Maclaurin
-# corrections; exact rational table keeps the conversion correctly rounded.
-_B2K = tuple(float(b) for b in bernoulli(32)[::2])
+# B_2k, k = 0..16, as doubles for the asymptotic series and the
+# Euler-Maclaurin corrections. Written as exact ratios of integers below 2^53,
+# each a correctly rounded double, the same as float(polycore.bernoulli(32)[2k]),
+# which a test checks; computing them here would make every import pay for
+# exact rational arithmetic.
+_B2K = (
+    1.0, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+    -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+    -236364091 / 2730, 8553103 / 6, -23749461029 / 870,
+    8615841276005 / 14322, -7709321041217 / 510,
+)
 
 # Stirling's series for ln Gamma in Horner order: B_2k / (2k (2k - 1)), k = 10..1.
 _STIRLING = tuple(_B2K[k] / (2 * k * (2 * k - 1)) for k in range(10, 0, -1))
@@ -151,7 +158,8 @@ def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
     any_refl = np.count_nonzero(refl)
     w, lift = _lift(np.where(refl, 1.0 - z, z) if any_refl else z, 16.0, lambda u: 1.0 / u)
     acc = np.log(w) - 0.5 / w - lift
-    inv2 = 1.0 / (w * w)
+    inv = 1.0 / w  # squared after inverting: w * w overflows past |w| ~ 1.3e154
+    inv2 = inv * inv
     p = inv2
     for k in range(1, 9):
         acc -= _B2K[k] / (2 * k) * p

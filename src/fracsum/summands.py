@@ -390,6 +390,26 @@ def parse_complex(text: str) -> complex:
     return z
 
 
+def _fmt_num(v: float) -> str:
+    if v.is_integer() and abs(v) < 1e15:  # inf and nan are not integers
+        return str(int(v))
+    return repr(v)
+
+
+# private: perfbench's tracer takes every public function of this module for
+# a summand constructor
+def _format_complex(z: complex) -> str:
+    """Canonical text for grid values and results: A, A+Bi, or A-Bi, the
+    grammar parse_complex reads."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return _fmt_num(z.real)
+    sign = "+" if z.imag >= 0 else "-"
+    if z.real == 0.0:
+        return f"{_fmt_num(z.imag)}i"
+    return f"{_fmt_num(z.real)}{sign}{_fmt_num(abs(z.imag))}i"
+
+
 def _parse_spec(spec: str) -> tuple[str, tuple]:
     """Split ``family:key=value:...`` into the family and its constructor
     arguments; for ``poly:c0,c1,...`` the one argument is the coefficients.

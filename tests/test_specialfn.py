@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsum.errors import DomainError, ParameterError, PoleError
+from fracsum.polycore import bernoulli
 from fracsum.specialfn import (
+    _B2K,
     CONSTANTS,
     digamma,
     hurwitz_zeta,
@@ -165,14 +167,19 @@ def test_polygamma_at_tail_centers(z):
     assert abs(digamma(z) - want) <= tol * abs(want)
 
 
+def test_b2k_literals_are_the_rounded_bernoulli_numbers():
+    assert _B2K == tuple(float(b) for b in bernoulli(32)[::2])
+
+
 @pytest.mark.filterwarnings("error")
 def test_polygamma_array_matches_mpmath_and_scalar_calls():
     # digamma on arrays: both sides of the recurrence lift to Re z >= 16, and
-    # the reflection at Re z < 1/2, in both half-planes and next to the real axis
+    # the reflection at Re z < 1/2, in both half-planes and next to the real
+    # axis; and past |z| ~ 1.3e154, where z * z overflows
     mpmath = pytest.importorskip("mpmath")
     re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 3.7, 15.5, 15.9, 16.0, 16.1, 40.0, 1e3])
     im = np.array([-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0])
-    z = (re[:, None] + 1j * im[None, :]).ravel()
+    z = np.append((re[:, None] + 1j * im[None, :]).ravel(), [1e300, 3e153 + 4e153j])
     got = digamma(z)
     assert got.shape == z.shape
     for w, g in zip(z, got):
