@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -166,10 +167,8 @@ class Identity:
 
 
 def _grid(**axes) -> tuple[Point, ...]:
-    pts: list[Point] = [()]
-    for name, values in axes.items():
-        pts = [p + ((name, complex(v)),) for p in pts for v in values]
-    return tuple(pts)
+    return tuple(tuple(zip(axes, map(complex, vals)))
+                 for vals in itertools.product(*axes.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ deterministic: identical argv gives byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -73,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="summand family spec, e.g. recip, pow:a=0.5, "
                              "geom:q=0.5, poly:0,1")
         sp.add_argument("--from", required=True, dest="from_", metavar="C",
-                        help="lower bound, complex literal A[+-Bi]")
+                        help="lower bound, complex literal A, A+Bi, A-Bi, Bi, +i or -i")
         sp.add_argument("--to", required=True, metavar="C",
-                        help="upper bound, complex literal A[+-Bi]")
+                        help="upper bound, complex literal A, A+Bi, A-Bi, Bi, +i or -i")
         sp.add_argument("--direction", choices=("right", "left"),
                         default="right", help="tail direction (default right)")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -107,6 +109,14 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _csv(header: str, rows) -> str:
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(header.split(","))
+    out.writerows(rows)
+    return buf.getvalue()
+
+
 def _format_result(res: SumResult, mode: str) -> str:
     if mode == "plain":
         return "\n".join([
@@ -117,11 +127,10 @@ def _format_result(res: SumResult, mode: str) -> str:
         ])
     if mode == "json":
         return json.dumps(asdict(res), default=lambda z: [z.real, z.imag], indent=2)
-    return (
-        "value_re,value_im,err_estimate,n_used,converged\n"
-        f"{res.value.real!r},{res.value.imag!r},{res.err_estimate!r},"
-        f"{res.n_used},{'true' if res.converged else 'false'}"
-    )
+    return _csv("value_re,value_im,err_estimate,n_used,converged", [(
+        repr(res.value.real), repr(res.value.imag), repr(res.err_estimate),
+        res.n_used, "true" if res.converged else "false",
+    )])
 
 
 def _cmd_sum_or_prod(args: argparse.Namespace) -> int:
@@ -146,15 +155,13 @@ def _cmd_identity_run(args: argparse.Namespace) -> int:
     elif args.output == "json":
         text = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)
     else:
-        lines = ["identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass"]
-        for rep in reports:
-            for r in rep.records:
-                lines.append(
-                    f"{r.identity},{r.point},{r.lhs.real!r},{r.lhs.imag!r},"
-                    f"{r.rhs.real!r},{r.rhs.imag!r},{r.abs_err!r},{r.rel_err!r},"
-                    f"{'true' if r.passed else 'false'}"
-                )
-        text = "\n".join(lines)
+        text = _csv(
+            "identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass",
+            ((r.identity, r.point, repr(r.lhs.real), repr(r.lhs.imag),
+              repr(r.rhs.real), repr(r.rhs.imag), repr(r.abs_err), repr(r.rel_err),
+              "true" if r.passed else "false")
+             for rep in reports for r in rep.records),
+        )
     _emit(text, args.path)
     return 2 if any(rep.all_pass is False for rep in reports) else 0
 
@@ -175,9 +182,8 @@ def _cmd_identity_list(args: argparse.Namespace) -> int:
             for i in idents
         ], indent=2)
     else:
-        text = "id,kind,tol,points\n" + "\n".join(
-            f"{i.id},{i.kind},{i.tol!r},{len(i.points)}" for i in idents
-        )
+        text = _csv("id,kind,tol,points",
+                    ((i.id, i.kind, repr(i.tol), len(i.points)) for i in idents))
     _emit(text, args.path)
     return 0
 

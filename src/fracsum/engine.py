@@ -5,7 +5,7 @@ The defining construction: pick an approximating polynomial sequence p_n
 sigma + 1 orbit points where the window [n+x, n+y] starts), then
 
     sum_{nu=x}^{y} f(nu)
-        = lim_n [ sum_{nu=n+x}^{n+y} p_n(nu)          (exact, via poly_sum)
+        = lim_n [ sum_{nu=n+x}^{n+y} p_n(nu)    (weights on f's sigma + 1 nodes)
                   + sum_{nu=1}^{n} (f(nu+x-1) - f(nu+y)) ]   (classical)
 
 for right sums; left sums replace n -> -n with tails running downward. The
@@ -379,8 +379,9 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
 def frac_sum_right(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TOL) -> SumResult:
     """Right fractional sum of f over [x, y], tail limit toward +infinity.
 
-    Per level: S(n) = poly_sum(p_n, n+x, n+y) + sum_{nu=1}^{n}
-    (f(nu+x-1) - f(nu+y)), then Richardson extrapolation over the levels.
+    Per level: S(n) = sum_{nu=n+x}^{n+y} p_n(nu) + sum_{nu=1}^{n}
+    (f(nu+x-1) - f(nu+y)), the first sum _newton_weights on f(n+x), ...,
+    f(n+x+sigma); then Richardson extrapolation over the levels.
     tol is the target of converged, positive and finite. Non-convergence is
     reported through converged=False, never by fabricating a value.
 
@@ -395,12 +396,13 @@ def frac_sum_right(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_T
 def frac_sum_left(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_TOL) -> SumResult:
     """Left fractional sum: the tail limit runs toward -infinity.
 
-    Per level: S(m) = poly_sum(p_{-m}, x-m, y-m) + sum_{k=0}^{m-1}
-    (f(y-k) - f(x-1-k)), p_{-m} through f at y-m, ..., y-m-sigma; sigma must
-    describe f toward -infinity. f is asked for on the orbit only, so bounds
-    off the real axis keep it on one side of a cut along the negative real
-    axis (ln nu, nu^a), and the sum is that branch's. An orbit point on the
-    cut is a DomainError; bounds on opposite sides of it do not converge.
+    Per level: S(m) = sum_{nu=x-m}^{y-m} p_{-m}(nu) + sum_{k=0}^{m-1}
+    (f(y-k) - f(x-1-k)), the first sum _newton_weights on f(y-m), ...,
+    f(y-m-sigma); sigma must describe f toward -infinity. f is asked for on
+    the orbit only, so bounds off the real axis keep it on one side of a cut
+    along the negative real axis (ln nu, nu^a), and the sum is that branch's.
+    An orbit point on the cut is a DomainError; bounds on opposite sides of
+    it do not converge.
     """
     return _frac_sum(f, x, y, tol, left=True)
 

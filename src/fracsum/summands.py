@@ -360,30 +360,21 @@ _SPEC_FAMILIES: dict[str, Callable[..., Summand]] = {
 _SPEC_KEYS = {"pow": ("a",), "geom": ("q",), "binom": ("c", "x")}
 
 
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# an unsigned decimal; a literal is A, [A]+[B]i, [A]-[B]i or Bi
+_NUM = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_LITERAL = re.compile(rf"[+-]?{_NUM}|(?:[+-]?{_NUM})?[+-](?:{_NUM})?i|{_NUM}i")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the literal grammar A, A+Bi, A-Bi (finite decimal A, B)."""
+    """Parse the literal grammar A, A+Bi, A-Bi, Bi, +i and -i, where A and
+    B are finite decimals with ASCII digits; spaces are ignored."""
     s = text.strip().replace(" ", "")
     if not s:
         raise SummandSpecError("empty complex literal")
-    re_part, im_part = s, "0"
-    if s.endswith("i"):
-        body = s[:-1]
-        # split at the last +/- that is not a leading sign or exponent sign
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1].lower() not in "e":
-                re_part, im_part = body[:i], body[i:]
-                break
-        else:
-            re_part, im_part = "0", body
-        if im_part in ("+", "-"):
-            im_part += "1"
-    # float() alone would also read 1_0 and non-ASCII digits
-    if not (_DECIMAL.fullmatch(re_part) and _DECIMAL.fullmatch(im_part)):
+    # complex() alone would also read 1_0, non-ASCII digits, nan and (1+2j)
+    if not _LITERAL.fullmatch(s):
         raise SummandSpecError(f"bad complex literal {text!r}")
-    z = complex(float(re_part), float(im_part))
+    z = complex(s.replace("i", "j"))
     # a decimal exponent can still overflow, as in 1e400
     if not cmath.isfinite(z):
         raise SummandSpecError(f"complex literal {text!r} is not finite")

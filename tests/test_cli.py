@@ -1,5 +1,7 @@
 """Command-line front end: parsing, exit codes, output formats."""
 
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -79,9 +81,12 @@ def test_identity_run_json_and_csv_match_plain(capsys):
             "rhs_re": repr(r["rhs"][0]), "rhs_im": repr(r["rhs"][1])}
            for rep in reports for r in rep["records"]]
     assert got == records
-    lines = outs["csv"].splitlines()
-    assert lines[0] == "identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass"
-    assert len(lines) == 1 + len(records)
+    # a CSV row is a CSV row: two-axis labels such as q=0.1,x=-0.5 are quoted
+    rows = list(csv.reader(io.StringIO(outs["csv"])))
+    assert ",".join(rows[0]) == "identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass"
+    assert all(len(row) == 9 for row in rows)
+    assert [dict(zip(("id", "point", "lhs_re", "lhs_im", "rhs_re", "rhs_im"), row))
+            for row in rows[1:]] == records
 
 
 def test_unknown_family_exits_one(capsys):

@@ -859,7 +859,7 @@ def test_polynomial_agreement_through_the_limit(c0, c1, x, y):
 # ------------------------------------------------------------- remaining knobs
 
 
-def test_taylor_degree_choice_does_not_move_the_value():
+def test_polynomial_degree_choice_does_not_move_the_value():
     f0 = log_summand()
     f1 = replace(f0, sigma=1)
     for x, y in ((1.0, -0.5), (0.3 + 0.2j, 1.7), (2.0, 0.25 + 0.4j)):
@@ -868,7 +868,7 @@ def test_taylor_degree_choice_does_not_move_the_value():
         assert abs(r0.value - r1.value) < max(r0.err_estimate, r1.err_estimate)
 
 
-def test_engine_config_validation():
+def test_tol_validation():
     # tol, the engine's one setting, is positive and finite, on the limit
     # route and the closed ones alike
     for tol in (0.0, math.nan, math.inf):

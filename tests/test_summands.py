@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsum import engine, specialfn, summands
 from fracsum.engine import SCHEDULE, frac_sum_left, frac_sum_right, mirror_check
@@ -128,7 +130,7 @@ def test_eval_sees_only_orbit_points(f, x, y, left):
 
 @pytest.mark.parametrize("f", [summands.lognu_lnfact(), summands.nu_lnfact()],
                          ids=["lognu_lnfact", "nu_lnfact"])
-def test_each_base_series_runs_once_per_table(monkeypatch, f):
+def test_log_gamma_runs_once_per_eval_call(monkeypatch, f):
     # the nodes of every level's polynomial part are one eval call, so ln Gamma
     # runs once for them, and no polygamma is left
     calls = _counted(monkeypatch, "log_gamma")
@@ -395,11 +397,27 @@ def test_parse_complex_grammar():
     assert pc("0.5i") == 0.5j
     assert pc("-i") == -1j
     assert pc("1e-3+2.5e2i") == complex(1e-3, 250.0)
+    # an exponent sign is no split between A and B; the sign of a zero is kept
+    for text, want in (("1e+5i", 1e5j), ("1e5+2e-3i", complex(1e5, 2e-3)),
+                       ("+i", 1j), ("-i", complex(0.0, -1.0)), ("1-i", 1 - 1j),
+                       (".5-.5i", 0.5 - 0.5j), ("5.+3.i", 5 + 3j),
+                       ("-0", complex(-0.0, 0.0)), ("1-0i", complex(1.0, -0.0))):
+        got = pc(text)
+        assert got == want, text
+        assert [math.copysign(1.0, t) for t in (got.real, got.imag)] == \
+            [math.copysign(1.0, t) for t in (want.real, want.imag)], text
     for bad in ("", "2+", "i2", "1+2j*", "abc",
                 "nan", "inf", "-inf", "1+nani", "infi", "1e400",
-                "1_0", "1_0+2_5i", "\u0663"):
+                "1_0", "1_0+2_5i", "\u0663",
+                "i", "1+-2i", "1e5+i2", "1\t+2i"):
         with pytest.raises(SummandSpecError):
             pc(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_format_complex_round_trips(z):
+    assert summands.parse_complex(summands._format_complex(z)) == z
 
 
 def test_from_spec_families():
