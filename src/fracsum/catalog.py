@@ -72,6 +72,12 @@ def _label(point: Point) -> str:
     return ",".join(f"{k}={format_complex(v)}" for k, v in point)
 
 
+# a record's text line, over PointRecord.fields(); identity-run's CSV rows
+# are the same fields
+_RECORD_LINE = ("record id={} point={} lhs_re={} lhs_im={} rhs_re={} rhs_im={} "
+                "abs_err={} rel_err={} pass={}")
+
+
 @dataclass(frozen=True)
 class PointRecord:
     """One grid-point comparison inside an identity report."""
@@ -84,6 +90,12 @@ class PointRecord:
     rel_err: float
     passed: bool
     note: str = ""
+
+    def fields(self) -> tuple[str, ...]:
+        """The nine fields of the record's text line and CSV row."""
+        return (self.identity, self.point, repr(self.lhs.real), repr(self.lhs.imag),
+                repr(self.rhs.real), repr(self.rhs.imag), repr(self.abs_err),
+                repr(self.rel_err), "true" if self.passed else "false")
 
 
 @dataclass(frozen=True)
@@ -100,14 +112,8 @@ class IdentityReport:
     def to_text(self) -> str:
         lines = [f"identity {self.identity} kind={self.kind}"]
         for r in self.records:
-            lines.append(
-                f"record id={r.identity} point={r.point} "
-                f"lhs_re={r.lhs.real!r} lhs_im={r.lhs.imag!r} "
-                f"rhs_re={r.rhs.real!r} rhs_im={r.rhs.imag!r} "
-                f"abs_err={r.abs_err!r} rel_err={r.rel_err!r} "
-                f"pass={'true' if r.passed else 'false'}"
-                + (f" note={r.note}" if r.note else "")
-            )
+            lines.append(_RECORD_LINE.format(*r.fields())
+                         + (f" note={r.note}" if r.note else ""))
         ap = "n/a" if self.all_pass is None else ("true" if self.all_pass else "false")
         lines.append(
             f"summary id={self.identity} points={len(self.records)} "
@@ -696,26 +702,18 @@ def run_identity(identity_id: str) -> IdentityReport:
     ident = get_identity(identity_id)
     records: list[PointRecord] = []
     for pt in ident.points:
-        label = _label(pt)
         try:
             lhs, rhs, note = ident.evaluate(**dict(pt))
+            lhs, rhs = complex(lhs), complex(rhs)
+            abs_err = abs(lhs - rhs)
+            rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-12 else abs_err
+            passed = ident.kind == "experiment" or bool(abs_err <= ident.tol * max(1.0, abs(rhs)))
         except FracsumError as exc:
-            records.append(PointRecord(
-                identity=ident.id, point=label,
-                lhs=complex("nan"), rhs=complex("nan"),
-                abs_err=math.inf, rel_err=math.inf,
-                passed=False, note=f"error: {exc}",
-            ))
-            continue
-        lhs, rhs = complex(lhs), complex(rhs)
-        abs_err = abs(lhs - rhs)
-        rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-12 else abs_err
-        if ident.kind == "experiment":
-            passed = True
-        else:
-            passed = bool(abs_err <= ident.tol * max(1.0, abs(rhs)))
+            lhs = rhs = complex("nan")
+            abs_err = rel_err = math.inf
+            passed, note = False, f"error: {exc}"
         records.append(PointRecord(
-            identity=ident.id, point=label, lhs=lhs, rhs=rhs,
+            identity=ident.id, point=_label(pt), lhs=lhs, rhs=rhs,
             abs_err=abs_err, rel_err=rel_err, passed=passed, note=note,
         ))
     finite_rels = [r.rel_err for r in records if math.isfinite(r.rel_err)]

@@ -82,20 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
                         default="right", help="tail direction (default right)")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="target of converged (default %(default)s)")
+        sp.set_defaults(handler=_cmd_sum_or_prod)
         _output_flags(sp)
 
     sp = sub.add_parser("identity-run", help="run identities against closed forms")
     sp.add_argument("--id", default=None, dest="identity",
                     help="identity id (default: all)")
+    sp.set_defaults(handler=_cmd_identity_run)
     _output_flags(sp)
 
     sp = sub.add_parser("identity-list", help="list registered identities")
+    sp.set_defaults(handler=_cmd_identity_list)
     _output_flags(sp)
 
     sp = sub.add_parser("figure", help="emit a truncation-vs-closed-form CSV")
     sp.add_argument("--which", required=True, choices=("bd", "zeta2"))
     sp.add_argument("--path", default=None,
                     help="CSV destination (default stdout)")
+    sp.set_defaults(handler=_cmd_figure)
     return p
 
 
@@ -155,13 +159,8 @@ def _cmd_identity_run(args: argparse.Namespace) -> int:
     elif args.output == "json":
         text = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)
     else:
-        text = _csv(
-            "identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass",
-            ((r.identity, r.point, repr(r.lhs.real), repr(r.lhs.imag),
-              repr(r.rhs.real), repr(r.rhs.imag), repr(r.abs_err), repr(r.rel_err),
-              "true" if r.passed else "false")
-             for rep in reports for r in rep.records),
-        )
+        text = _csv("identity,point,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,pass",
+                    (r.fields() for rep in reports for r in rep.records))
     _emit(text, args.path)
     return 2 if any(rep.all_pass is False for rep in reports) else 0
 
@@ -195,20 +194,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "sum": _cmd_sum_or_prod,
-    "prod": _cmd_sum_or_prod,
-    "identity-run": _cmd_identity_run,
-    "identity-list": _cmd_identity_list,
-    "figure": _cmd_figure,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (_UsageError, *_HANDLED) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,18 +68,6 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def shift(self, s: complex) -> "Polynomial":
-        """Return q with q(z) = p(z + s), by binomial re-expansion."""
-        n = len(self.coeffs)
-        out = [0j] * n
-        for k, ck in enumerate(self.coeffs):
-            # ck (z+s)^k contributes ck C(k,j) s^{k-j} to z^j
-            pw = 1.0 + 0j
-            for j in range(k, -1, -1):
-                out[j] += ck * math.comb(k, j) * pw
-                pw *= s
-        return Polynomial.of(*out)
-
 
 def bernoulli(K: int) -> tuple[Fraction, ...]:
     """Bernoulli numbers B_0..B_K as exact rationals, convention B_1 = +1/2.

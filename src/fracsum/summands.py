@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Summand
-from .errors import DomainError, ParameterError, SummandSpecError
+from .errors import ParameterError, SummandSpecError
 from .polycore import MAX_DEGREE, Polynomial
 from .specialfn import log_gamma
 
@@ -62,6 +62,21 @@ def _nonzero(pts: np.ndarray) -> np.ndarray:
     return np.abs(pts) > 1e-300
 
 
+def _near_nonpos_int(z: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """True where z, computed from the orbit points pts, is within their
+    rounding distance of 0, -1, -2, ..."""
+    tol = 1e-12 * (1.0 + np.abs(pts))
+    return (np.abs(z.imag) <= tol) & (z.real <= 0.5) & (np.abs(z.real - np.round(z.real)) <= tol)
+
+
+def _binom_guard(pts: np.ndarray) -> np.ndarray:
+    """False at the poles of Gamma(w + 1), w = -1, -2, ..."""
+    ok = pts.real > -0.5
+    if not ok.all():  # a sum over [0, c] has its whole orbit right of -1/2
+        ok = ~_near_nonpos_int(pts + 1.0, pts)
+    return ok
+
+
 def recip() -> Summand:
     """f(nu) = 1/nu: power(-1), sigma -1, evaluated as 1.0 / pts (np.power's bits, faster)."""
     return replace(power(-1), eval=lambda pts: 1.0 / pts)
@@ -83,8 +98,8 @@ def power(a: complex) -> Summand:
     with them.
 
     Raises:
-        ParameterError: a polynomial degree, or the degree sigma of p_n
-            (the Taylor degree of the message), above MAX_DEGREE.
+        ParameterError: a polynomial degree, or the degree sigma of p_n,
+            above MAX_DEGREE.
     """
     a = complex(a)
     is_real = a.imag == 0.0
@@ -96,7 +111,7 @@ def power(a: complex) -> Summand:
         return poly_summand(Polynomial.monomial(int(a.real)).coeffs)
     sig = -1 if a.real < 0 else math.floor(a.real) + (1 if is_real else 3)
     if sig > MAX_DEGREE:
-        raise ParameterError(f"{name}: Taylor degree {sig} exceeds cap {MAX_DEGREE}")
+        raise ParameterError(f"{name}: degree of p_n {sig} exceeds cap {MAX_DEGREE}")
     ra = _real(a)
     return Summand(
         eval=lambda pts: np.power(pts, ra),
@@ -134,7 +149,8 @@ def binom(c: complex, x: complex) -> Summand:
     below 1/2 the reciprocal is computed by reflection, and arguments within
     rounding distance of a nonpositive integer give an exact zero (the
     coefficient vanishes there; sin(pi a) in doubles would leave a rounding
-    residue). A pole of Gamma(w+1) anywhere in the orbit is a DomainError.
+    residue). A pole of Gamma(w+1) anywhere in the orbit fails the domain
+    guard.
     """
     c = _real(complex(c))
     x = complex(x)
@@ -144,23 +160,10 @@ def binom(c: complex, x: complex) -> Summand:
     lgc1 = _real(log_gamma(c + 1.0))
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        tol = 1e-12 * (1.0 + np.abs(pts))
-
-        def near_nonpos_int(z: np.ndarray) -> np.ndarray:
-            return (
-                (np.abs(z.imag) <= tol)
-                & (z.real <= 0.5)
-                & (np.abs(z.real - np.round(z.real)) <= tol)
-            )
-
-        top_pole = near_nonpos_int(pts + 1.0)
-        if top_pole.any():
-            bad = complex(pts[top_pole][0])
-            raise DomainError(f"binomial coefficient pole at w={bad}", bad)
         a = c - pts + 1.0
         # only the nonzero coefficients are evaluated: on a sum over [0, c]
         # every point of the upper orbit w = nu + c is a zero
-        live = ~near_nonpos_int(a)
+        live = ~_near_nonpos_int(a, pts)
         if not live.any():
             return np.zeros_like(pts)
         w, a = pts[live], a[live]
@@ -174,7 +177,7 @@ def binom(c: complex, x: complex) -> Summand:
         out[live] = v
         return out
 
-    return Summand(eval=ev)
+    return Summand(eval=ev, domain_guard=_binom_guard)
 
 
 def vlnv() -> Summand:

@@ -4,12 +4,16 @@ The bd/zpp closed-form reference literals were frozen from a 30-digit
 arbitrary-precision evaluation of the same expressions during development.
 """
 
+import cmath
+import csv
 import json
 import math
 
 import pytest
 
+from fracsum import catalog, cli
 from fracsum.catalog import (
+    Identity,
     bd_closed_form,
     figure_csv,
     get_identity,
@@ -20,7 +24,7 @@ from fracsum.catalog import (
     zpp_closed_form,
     zpp_closed_sum,
 )
-from fracsum.errors import ParameterError, UnknownIdentityError
+from fracsum.errors import DomainError, ParameterError, UnknownIdentityError
 
 ALL_IDS = (
     "GEO",
@@ -118,6 +122,34 @@ def test_report_text_format(all_reports):
     assert len(summary) == 1
     assert "all_pass=true" in summary[0]
     assert f"points={len(rep.records)}" in summary[0]
+
+
+def test_engine_error_is_recorded_on_its_point(monkeypatch, capsys):
+    def evaluate(x):
+        if x == 2:
+            raise DomainError("no sum at x = 2")
+        return 1.0, 1.0 + 1e-9, ""
+
+    points = ((("x", 1 + 0j),), (("x", 2 + 0j),))
+    monkeypatch.setitem(catalog._REGISTRY, "ERR", Identity(
+        id="ERR", kind="theorem", formula="1 = 1", tol=1e-6, points=points, evaluate=evaluate,
+    ))
+    rep = run_identity("ERR")
+    good, bad = rep.records
+    assert cmath.isnan(bad.lhs) and cmath.isnan(bad.rhs)
+    assert bad.abs_err == bad.rel_err == math.inf
+    assert bad.passed is False and bad.note == "error: no sum at x = 2"
+    assert good.passed is True and good.note == ""
+    assert rep.all_pass is False
+    assert rep.max_rel_err == good.rel_err > 0
+    # the text line and the CSV row carry the same nine fields
+    line = next(ln for ln in rep.to_text().splitlines() if ln.startswith("record id=ERR point=x=2 "))
+    assert line.endswith(" note=error: no sum at x = 2")
+    text_fields = [part.split("=", 1)[1] for part in line.split()[1:10]]
+    assert cli.main(["identity-run", "--id", "ERR", "--output", "csv"]) == 2
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[2] == text_fields == list(bad.fields())
+    assert text_fields[2:] == ["nan", "0.0", "nan", "0.0", "inf", "inf", "false"]
 
 
 def test_experiment_summary_reads_not_applicable(all_reports):

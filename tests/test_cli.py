@@ -338,10 +338,10 @@ def test_huge_integer_power(capsys):
 
 @pytest.mark.parametrize("a", ["64.5", "62.5+1i"])
 def test_noninteger_power_past_the_degree_cap(capsys, a):
-    # its Taylor degree passes the poly_sum cap: one error line naming a
+    # its degree of p_n passes the poly_sum cap: one error line naming a
     rc, out, err = run(capsys, ["sum", "--f", f"pow:a={a}", "--from", "1", "--to", "2.5"])
     assert (rc, out) == (1, "")
-    assert f"pow:a={a}: Taylor degree" in err and "exceeds cap 64" in err
+    assert f"pow:a={a}: degree of p_n" in err and "exceeds cap 64" in err
 
 
 def test_prod_geometric_is_exact(capsys):

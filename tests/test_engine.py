@@ -303,7 +303,7 @@ def test_early_stop_keeps_err_and_kept_extrapolant(case, err):
 
 
 def test_no_finite_claim_is_not_converged():
-    # a Taylor degree of 64 cancels from magnitudes past the float range at
+    # a degree of p_n of 64 cancels from magnitudes past the float range at
     # every level, so no prefix of the tableau gives a finite claim: the
     # whole tableau is the result, with an infinite error bar
     res = frac_sum_right(power(63.5), 1.0, 2.5)

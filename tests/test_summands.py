@@ -221,12 +221,12 @@ def test_power_integer_declares_exact_polynomial():
     for a in (MAX_DEGREE + 1, 1e19, 1e300):
         with pytest.raises(ParameterError, match="exceeds cap"):
             summands.power(a)
-    # so is a noninteger exponent's Taylor degree sigma: floor(Re a) + 1, + 3
+    # so is a noninteger exponent's degree sigma of p_n: floor(Re a) + 1, + 3
     # if complex
     assert summands.power(63.5).sigma == summands.power(61.5 + 1j).sigma == MAX_DEGREE
     names = {64.5: "pow:a=64.5", 62.5 + 1j: "pow:a=62.5+1i", 1e300 - 1j: "pow:a=1e+300-1i"}
     for a, name in names.items():
-        with pytest.raises(ParameterError, match=re.escape(name) + ": Taylor degree"):
+        with pytest.raises(ParameterError, match=re.escape(name) + ": degree of p_n"):
             summands.power(a)
 
 
@@ -327,6 +327,18 @@ def test_binom_pole_in_array_is_domain_error():
     f = summands.binom(2.5, 0.3)
     with pytest.raises(DomainError):
         f.eval(np.array([0.5, 1.0, -1.0, 2.0], dtype=complex))
+
+
+def test_binom_guard_rejects_the_pole_before_any_term():
+    # the orbit of [-2, 0.5] meets w = -2, a pole of Gamma(w + 1): the guard
+    # names it and no term is evaluated
+    calls = []
+    f = summands.binom(2.5, 0.3)
+    counted = replace(f, eval=lambda pts: calls.append(pts) or f.eval(pts))
+    with pytest.raises(DomainError, match=r"orbit point \(-2\+0j\)") as info:
+        frac_sum_right(counted, -2.0, 0.5)
+    assert info.value.value == -2
+    assert calls == []
 
 
 def test_bd_term_uses_log1p_form():
