@@ -30,15 +30,7 @@ from .errors import (
     UnknownIdentityError,
 )
 from .polycore import Polynomial, antidifference, bernoulli, poly_sum
-from .specialfn import (
-    CONSTANTS,
-    digamma,
-    hurwitz_zeta,
-    hurwitz_zeta_sderiv,
-    log_gamma,
-    riemann_zeta,
-    riemann_zeta_sderiv,
-)
+from .specialfn import CONSTANTS, digamma, hurwitz_zeta, log_gamma
 from .summands import from_spec, parse_complex
 
 __version__ = "0.1.0"
@@ -57,8 +49,7 @@ __all__ = [
     "BranchCutError", "DomainError", "FracsumError", "PoleError",
     "ParameterError", "SummandSpecError", "UnknownIdentityError",
     "Polynomial", "antidifference", "bernoulli", "poly_sum",
-    "CONSTANTS", "digamma", "hurwitz_zeta", "hurwitz_zeta_sderiv",
-    "log_gamma", "riemann_zeta", "riemann_zeta_sderiv",
+    "CONSTANTS", "digamma", "hurwitz_zeta", "log_gamma",
     "from_spec", "parse_complex",
     "__version__",
 ]

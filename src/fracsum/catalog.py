@@ -29,14 +29,7 @@ from .engine import (
 )
 from .errors import FracsumError, ParameterError, UnknownIdentityError
 from .polycore import Polynomial, poly_sum
-from .specialfn import (
-    CONSTANTS,
-    digamma,
-    hurwitz_zeta,
-    hurwitz_zeta_sderiv,
-    log_gamma,
-    riemann_zeta,
-)
+from .specialfn import CONSTANTS, digamma, hurwitz_zeta, log_gamma
 from .summands import _format_complex as format_complex
 
 __all__ = [
@@ -173,8 +166,7 @@ class Identity:
 
 
 def _grid(**axes) -> tuple[Point, ...]:
-    return tuple(tuple(zip(axes, map(complex, vals)))
-                 for vals in itertools.product(*axes.values()))
+    return tuple(tuple(zip(axes, vals)) for vals in itertools.product(*axes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +179,8 @@ def bd_closed_form(x: float) -> float:
         -_LN2 / 12.0
         + 2.0 * x * (log_gamma(x + 0.5).real - log_gamma(x + 1.0).real)
         - x
-        - 2.0 * hurwitz_zeta_sderiv(1, -1.0, x + 0.5).real
-        + 2.0 * hurwitz_zeta_sderiv(1, -1.0, x + 1.0).real
+        - 2.0 * hurwitz_zeta(-1.0, x + 0.5, 1).real
+        + 2.0 * hurwitz_zeta(-1.0, x + 1.0, 1).real
         - 3.0 * CONSTANTS.zeta_prime_minus1
     )
     return math.exp(lnp)
@@ -206,12 +198,12 @@ def zpp_closed_sum(x: float) -> float:
     a = (x + 1.0) / 2.0
     b = x / 2.0 + 1.0
     return (
-        4.0 * _LN2 * (hurwitz_zeta_sderiv(1, -1.0, a).real - hurwitz_zeta_sderiv(1, -1.0, b).real)
+        4.0 * _LN2 * (hurwitz_zeta(-1.0, a, 1).real - hurwitz_zeta(-1.0, b, 1).real)
         - 2.0 * x * _LN2 * (log_gamma(a).real - log_gamma(b).real)
-        + 2.0 * hurwitz_zeta_sderiv(2, -1.0, b).real
-        - 2.0 * hurwitz_zeta_sderiv(2, -1.0, a).real
-        + x * hurwitz_zeta_sderiv(2, 0.0, a).real
-        - x * hurwitz_zeta_sderiv(2, 0.0, b).real
+        + 2.0 * hurwitz_zeta(-1.0, b, 2).real
+        - 2.0 * hurwitz_zeta(-1.0, a, 2).real
+        + x * hurwitz_zeta(0.0, a, 2).real
+        - x * hurwitz_zeta(0.0, b, 2).real
         - _LN2 * _LN2 / 4.0
     )
 
@@ -274,12 +266,14 @@ def _binom_eval(c: complex, x: complex):
     return lhs, rhs, ""
 
 
-def _sermul_eval(x: complex):
+def _sermul_eval(x: float):
     q1, q2 = 0.5, 0.3
     lhs = frac_sum_right(fams.sermul_combined(q1, q2), 1.0, x).value
 
+    # complex ** keeps the report's bits: float ** would round q^3 apart at
+    # x = 2 and give rhs_im +0.0 where it is -0.0 at x = -0.25
     def geo_sum(q: float) -> complex:
-        return (q - q ** (x + 1.0)) / (1.0 - q)
+        return (q - q ** complex(x + 1.0)) / (1.0 - q)
 
     return lhs, geo_sum(q1) * geo_sum(q2), ""
 
@@ -301,21 +295,20 @@ def _harm_eval(x: complex):
     return lhs, rhs, note
 
 
-def _refl_eval(x: complex):
-    x = x.real
+def _refl_eval(x: float):
     lhs = frac_sum_right(fams.recip(), x, -x).value
     return lhs, complex(math.pi / math.tan(math.pi * x)), ""
 
 
 def _hurw_eval(a: complex, x: complex):
     lhs = frac_sum_right(fams.power(a), 1.0, x).value
-    rhs = riemann_zeta(-a) - hurwitz_zeta(-a, x + 1.0)
+    rhs = hurwitz_zeta(-a) - hurwitz_zeta(-a, x + 1.0)
     return lhs, rhs, ""
 
 
 def _zhalf_eval(a: complex):
     lhs = frac_sum_right(fams.power(a), 1.0, -0.5).value
-    rhs = (2.0 - 2.0 ** (-a)) * riemann_zeta(-a)
+    rhs = (2.0 - 2.0 ** (-a)) * hurwitz_zeta(-a)
     note = "implies zeta(-1) = -1/12" if a == 1.0 else ""
     return lhs, rhs, note
 
@@ -326,7 +319,7 @@ def _vlnv_eval():
     return lhs, rhs, ""
 
 
-def _lngam_eval(part: complex):
+def _lngam_eval(part: int):
     s = frac_sum_right(fams.log_summand(), 1.0, -0.5).value
     if part == 0:
         return s, complex(0.5 * math.log(math.pi)), "ln Gamma(1/2)"
@@ -337,10 +330,9 @@ def _lngam_eval(part: complex):
     return lhs, rhs, "recovered zeta'(0)"
 
 
-def _leftp_eval(z: complex):
-    z = int(z.real)
+def _leftp_eval(z: int):
     lhs = frac_sum_left(fams.power(float(z)), 1.0, -0.5).value
-    rhs = (-1.0) ** (z + 1) * (2.0 - 2.0 ** (-z)) * riemann_zeta(-float(z))
+    rhs = (-1.0) ** (z + 1) * (2.0 - 2.0 ** (-z)) * hurwitz_zeta(-float(z))
     return lhs, rhs, ""
 
 
@@ -353,19 +345,18 @@ _MIRROR_CASES: tuple[tuple[str, Callable[[], object], complex, complex], ...] = 
 )
 
 
-def _mirror_eval(case: complex):
-    key, ctor, a, b = _MIRROR_CASES[int(case.real)]
+def _mirror_eval(case: int):
+    key, ctor, a, b = _MIRROR_CASES[case]
     mc = mirror_check(ctor(), a, b)
     return mc.right.value, mc.left.value, key
 
 
-def _oddp_eval(x: complex, n: complex):
-    lhs = poly_sum(Polynomial.monomial(2 * int(n.real) + 1), x, -x)
+def _oddp_eval(x: complex, n: int):
+    lhs = poly_sum(Polynomial.monomial(2 * n + 1), x, -x)
     return lhs, 0j, ""
 
 
-def _bd_eval(x: complex):
-    x = x.real
+def _bd_eval(x: float):
     s = frac_sum_right(fams.bd_term(x), 1.0, -0.5).value
     lhs = cmath.exp(-x - s)
     rhs = complex(bd_closed_form(x))
@@ -373,8 +364,7 @@ def _bd_eval(x: complex):
     return lhs, rhs, f"finite[{finite}]"
 
 
-def _zpp_eval(x: complex):
-    x = x.real
+def _zpp_eval(x: float):
     s = frac_sum_right(fams.zpp_term(x), 1.0, -0.5).value
     lhs = cmath.exp(s)
     rhs = complex(zpp_closed_form(x))
@@ -382,8 +372,7 @@ def _zpp_eval(x: complex):
     return lhs, rhs, f"finite[{finite}]"
 
 
-def _g2_eval(z: complex):
-    z = z.real
+def _g2_eval(z: float):
     if z == 0.0:
         # special value G(1/2) through the nu ln nu sum
         s = frac_sum_right(fams.vlnv(), 1.0, -0.5).value
@@ -397,19 +386,18 @@ def _g2_eval(z: complex):
     rhs = complex(
         (z - 1.0) * log_gamma(z).real
         + CONSTANTS.zeta_prime_minus1
-        - hurwitz_zeta_sderiv(1, -1.0, z).real
+        - hurwitz_zeta(-1.0, z, 1).real
     )
     return lhs, rhs, "ln G"
 
 
-def _xprod_eval(case: complex):
-    which = int(case.real)
-    if which == 0:
+def _xprod_eval(case: int):
+    if case == 0:
         s = frac_sum_right(fams.ln_gamma_2nu(), 1.0, -0.5).value
         lhs = cmath.exp(s)
         rhs = complex((math.pi / 2.0) ** 0.25)
         return lhs, rhs, "(2n)! product"
-    if which == 1:
+    if case == 1:
         s = frac_sum_right(fams.lognu_lnfact(), 1.0, -0.5).value
         lhs = cmath.exp(s)
         g = CONSTANTS.euler_gamma
@@ -428,8 +416,8 @@ def _xprod_eval(case: complex):
     rhs = complex(
         math.exp(
             (3.0 / 32.0) * (log_gamma(0.25).real - log_gamma(0.75).real)
-            + hurwitz_zeta_sderiv(1, -2.0, 0.25).real
-            - 3.0 * riemann_zeta(3.0).real / (128.0 * math.pi**2)
+            + hurwitz_zeta(-2.0, 0.25, 1).real
+            - 3.0 * hurwitz_zeta(3.0).real / (128.0 * math.pi**2)
             - CONSTANTS.catalan_G / (4.0 * math.pi)
         )
     )
@@ -457,8 +445,7 @@ def _gosper_termwise(b: float) -> float:
     return -val
 
 
-def _gosper_eval(b: complex, route: complex):
-    b = b.real
+def _gosper_eval(b: float, route: int):
     rhs = complex(math.pi * math.sin(b) / (2.0 * b))
     if route == 0:
         return complex(_gosper_series(b)), rhs, "series"
@@ -472,7 +459,7 @@ def _gosper_summary(points: tuple[Point, ...],
                     records: tuple[PointRecord, ...]) -> tuple[str, ...]:
     by_b: dict[float, list[complex]] = {}
     for pt, r in zip(points, records):
-        by_b.setdefault(dict(pt)["b"].real, []).append(r.lhs)
+        by_b.setdefault(dict(pt)["b"], []).append(r.lhs)
     notes: list[str] = []
     agree = True
     for b, vals in by_b.items():
@@ -709,7 +696,7 @@ def run_identity(identity_id: str) -> IdentityReport:
             rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-12 else abs_err
             passed = ident.kind == "experiment" or bool(abs_err <= ident.tol * max(1.0, abs(rhs)))
         except FracsumError as exc:
-            lhs = rhs = complex("nan")
+            lhs = rhs = complex(math.nan, math.nan)
             abs_err = rel_err = math.inf
             passed, note = False, f"error: {exc}"
         records.append(PointRecord(

@@ -200,7 +200,7 @@ def richardson_extrapolate(
     for _, v in levels:
         row = _richardson_row(row, v, order, rate_hint)
         diag.append(row[-1])
-    err = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else math.inf
+    err = _modulus(diag[-1] - diag[-2]) if len(diag) >= 2 else math.inf
     return diag[-1], err
 
 
@@ -235,9 +235,15 @@ def _newton_weights(length: float | complex, degree: int) -> np.ndarray:
     return np.array([sum((-1) ** (m - i) * math.comb(m, i) * c[m + 1] for m in k[i:]) for i in k])
 
 
+def _modulus(z: complex) -> float:
+    """|z|, inf where it passes the float range: abs() of a complex raises
+    OverflowError there even when both parts are finite."""
+    return math.hypot(z.real, z.imag)
+
+
 def _converged(value: complex, err: float, tol: float) -> bool:
     """The SumResult contract: the error bar is finite and within tol."""
-    return bool(math.isfinite(err) and err <= tol * max(1.0, abs(value)))
+    return bool(math.isfinite(err) and err <= tol * max(1.0, _modulus(value)))
 
 
 def _result(value: complex, err: float, n_used: int, levels: Sequence, tol: float) -> SumResult:
@@ -263,7 +269,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     xo, yo = (x.real, y.real) if x.imag == y.imag == 0.0 else (x, y)
     delta = y - x
     if abs(delta.real) <= 2_000_000 and abs(delta - round(delta.real)) <= (
-        4.0 * float(np.finfo(float).eps) * max(1.0, abs(x), abs(y))
+        4.0 * float(np.finfo(float).eps) * max(1.0, _modulus(x), _modulus(y))
     ):
         # Integer-length interval: continued summation, translation and the
         # single-term axiom reduce the sum to the classical loop (negative
@@ -328,12 +334,12 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         # carry alike amounts of that noise, so the tableau's last difference
         # need not see it.
         walk = 2.0 * eps * math.sqrt(term_sq)
-        cancel_mag = max(cancel_mag, abs(tail) + abs(poly[j]))
+        cancel_mag = max(cancel_mag, _modulus(tail) + _modulus(poly[j]))
         levels.append((n, tail + poly[j]))
         # A level whose terms leave S(n) unchanged has reached the limit: the
         # terms further out add less again (see the module notes).
         if j and levels[-1][1] == levels[-2][1]:
-            value, err, m_used, kept_round = levels[-1][1], 0.0, j + 1, walk + abs(shift)
+            value, err, m_used, kept_round = levels[-1][1], 0.0, j + 1, walk + _modulus(shift)
             break
         # diag[j] extrapolates the first j + 1 levels (see the module notes)
         row = _richardson_row(row, levels[-1][1], order, rate)
@@ -347,10 +353,10 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         # and friends) the deepest levels are dominated by rounding noise,
         # and the extrapolation must stop at the noise floor instead of
         # folding that noise in.
-        e = abs(diag[-1] - diag[-2])
+        e = _modulus(diag[-1] - diag[-2])
         claim = max(e, walk)
         if math.isfinite(claim) and claim < err:
-            value, err, m_used, kept_round = diag[-1], claim, j + 1, walk + abs(shift_row[-1])
+            value, err, m_used, kept_round = diag[-1], claim, j + 1, walk + _modulus(shift_row[-1])
         # Stop once no deeper prefix can be kept: a deeper prefix claims at
         # least its own walk, the walk never decreases as points are added,
         # and this walk already reaches the best claim, so no deeper claim is
@@ -359,7 +365,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         if value is not None and walk >= err:
             break
     if value is None:
-        value, err, kept_round = diag[-1], e, walk + abs(shift_row[-1])
+        value, err, kept_round = diag[-1], e, walk + _modulus(shift_row[-1])
     if math.isfinite(err):
         # Level agreement cannot certify below the rounding floor of the
         # tail/poly-part cancellation plus the terms' and the orbit's own
@@ -370,7 +376,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         # level the stop skipped counts too: its S(n) = tail + p(n) has
         # reached the value, so its tail is value - p(n).
         for p_term in poly[len(levels):]:
-            cancel_mag = max(cancel_mag, abs(value - p_term) + abs(p_term))
+            cancel_mag = max(cancel_mag, _modulus(value - p_term) + _modulus(p_term))
         floor = 8.0 * eps * cancel_mag + kept_round + 2 * last * math.ulp(0.0)
         err = max(err, floor)
     return _result(value, err, ns[m_used - 1], levels, tol)
@@ -417,8 +423,10 @@ def frac_product(
     f is the summand of ln g: its eval, sigma and domain_guard all
     describe nu -> ln g(nu). left selects the left-tail sum, and tol is as in
     frac_sum_right. err_estimate is the product's error, |value| times the
-    sum's, and converged holds the SumResult rule for it. A product past the
-    float range is inf with err_estimate inf, and is not converged.
+    sum's, and converged holds the SumResult rule for it. |value| is
+    math.hypot of the parts, so a product is past the float range when its
+    modulus is, even with both parts finite: err_estimate is then inf, and
+    the product is not converged.
 
     Raises:
         ParameterError: tol is not positive and finite.
@@ -434,7 +442,8 @@ def frac_product(
         raise BranchCutError(f"{exc}: the factor's logarithm meets its branch cut there",
                              exc.value) from exc
     value = complex(np.exp(res.value))
-    err = float(abs(value) * res.err_estimate) if np.isfinite(value) else math.inf
+    mod = _modulus(value)
+    err = mod * res.err_estimate if math.isfinite(mod) else math.inf
     return SumResult(value, err, res.n_used, _converged(value, err, tol),
                      tuple((n, complex(np.exp(v))) for n, v in res.levels))
 
@@ -468,4 +477,4 @@ def mirror_check(f: Summand, a: complex, b: complex) -> MirrorCheck:
     """
     right = frac_sum_right(f, a, b)
     left = frac_sum_left(reflected(f), -b, -a)
-    return MirrorCheck(right=right, left=left, abs_diff=abs(right.value - left.value))
+    return MirrorCheck(right=right, left=left, abs_diff=_modulus(right.value - left.value))

@@ -53,10 +53,10 @@ class Polynomial:
         return Polynomial(tuple(cs))
 
     @staticmethod
-    def monomial(degree: int, coeff: complex = 1.0) -> "Polynomial":
+    def monomial(degree: int) -> "Polynomial":
         if degree < 0:
             raise ParameterError(f"monomial degree must be >= 0, got {degree}")
-        return Polynomial.of(*([0.0] * degree + [coeff]))
+        return Polynomial.of(*([0.0] * degree + [1.0]))
 
     @property
     def degree(self) -> float:

@@ -5,10 +5,10 @@ only dependency: log-Gamma and digamma, both elementwise on a numpy array so
 a summand's whole orbit is one call (log-Gamma stays real on a float array
 where it is real), each a recurrence lift into an asymptotic series
 (Stirling's for ln Gamma),
-the Hurwitz zeta function and its first and second s-derivatives
-(Euler-Maclaurin with fixed truncation, differentiated analytically in s),
-Riemann zeta wrappers, and named constants stored as high-precision decimal
-literals.
+the Hurwitz zeta function and its first two s-derivatives in one function,
+Riemann's zeta at its default x = 1 (Euler-Maclaurin with fixed truncation,
+differentiated analytically in s), and named constants stored as
+high-precision decimal literals.
 """
 from __future__ import annotations
 
@@ -26,9 +26,6 @@ __all__ = [
     "log_gamma",
     "digamma",
     "hurwitz_zeta",
-    "hurwitz_zeta_sderiv",
-    "riemann_zeta",
-    "riemann_zeta_sderiv",
 ]
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -182,7 +179,30 @@ _EM_CORRECTION_ORDER = 10
 _NEG_S_LIFT_TARGET = 4.0
 
 
-def _hurwitz_em(s: complex, x: complex, b: int) -> complex:
+def hurwitz_zeta(s: complex, x: complex = 1.0, b: int = 0) -> complex:
+    """b-th s-derivative of the Hurwitz zeta(s, x) = sum_{nu>=0} (nu+x)^{-s},
+    analytically continued; Riemann's zeta(s) at x = 1.
+
+    Euler-Maclaurin: direct terms, boundary terms, and Bernoulli corrections
+    up to order 2K, each differentiated analytically in s (the direct terms
+    contribute (-ln(nu+x))^b (nu+x)^{-s}). At least 10 significant digits for
+    b = 0 and 8 for b = 1, 2 on the identity catalog's domain; accuracy
+    degrades toward deeply negative non-integer Re s where the continued
+    value itself nearly cancels (see module notes).
+
+    Args:
+        s: exponent, s != 1.
+        x: shift with Re x > 0.
+        b: derivative order in s, 0, 1 or 2.
+
+    Raises:
+        ParameterError: b not in {0, 1, 2}.
+        PoleError: s = 1.
+        DomainError: Re x <= 0.
+    """
+    if b not in (0, 1, 2):
+        raise ParameterError(f"derivative order must be 0, 1 or 2, got {b}")
+    s, x = complex(s), complex(x)
     if s == 1.0:
         raise PoleError("hurwitz zeta pole at s=1", s)
     if x.real <= 0.0:
@@ -226,52 +246,6 @@ def _hurwitz_em(s: complex, x: complex, b: int) -> complex:
             tot += ck * (r2 - 2.0 * r1 * lA + r * lA * lA) * Apow
         Apow *= Ainv2
     return tot
-
-
-def hurwitz_zeta(s: complex, x: complex) -> complex:
-    """Hurwitz zeta(s, x) = sum_{nu>=0} (nu+x)^{-s}, analytically continued.
-
-    Euler-Maclaurin: direct terms, boundary terms, and Bernoulli corrections
-    up to order 2K. At least 10 significant digits on the identity catalog's
-    domain; accuracy degrades toward deeply negative non-integer Re s where
-    the continued value itself nearly cancels (see module notes).
-
-    Args:
-        s: exponent, s != 1.
-        x: shift with Re x > 0.
-
-    Raises:
-        PoleError: s = 1.
-        DomainError: Re x <= 0.
-    """
-    return _hurwitz_em(complex(s), complex(x), 0)
-
-
-def hurwitz_zeta_sderiv(b: int, s: complex, x: complex) -> complex:
-    """b-th s-derivative of Hurwitz zeta, b in {1, 2}.
-
-    Obtained by differentiating every Euler-Maclaurin term analytically in s:
-    the direct terms contribute (-ln(nu+x))^b (nu+x)^{-s}, the boundary and
-    Bernoulli terms are differentiated in closed form. At least 8 significant
-    digits on the catalog domain.
-
-    Raises:
-        ParameterError: b not in {1, 2}.
-        PoleError / DomainError: as hurwitz_zeta.
-    """
-    if b not in (1, 2):
-        raise ParameterError(f"derivative order must be 1 or 2, got {b}")
-    return _hurwitz_em(complex(s), complex(x), b)
-
-
-def riemann_zeta(s: complex) -> complex:
-    """Riemann zeta(s) = hurwitz_zeta(s, 1)."""
-    return hurwitz_zeta(s, 1.0)
-
-
-def riemann_zeta_sderiv(b: int, s: complex) -> complex:
-    """b-th derivative of Riemann zeta, b in {1, 2}."""
-    return hurwitz_zeta_sderiv(b, s, 1.0)
 
 
 @dataclass(frozen=True)

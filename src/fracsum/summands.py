@@ -200,14 +200,14 @@ def _ln_gamma_of(a: float, b: float) -> Summand:
     )
 
 
-def lnfact(shift: float = 1.0) -> Summand:
-    """f(nu) = ln Gamma(nu + shift); shift=1 gives ln(nu!)."""
-    return _ln_gamma_of(1.0, shift)
+def lnfact() -> Summand:
+    """f(nu) = ln Gamma(nu + 1) = ln(nu!)."""
+    return _ln_gamma_of(1.0, 1.0)
 
 
 def ln_gamma_summand() -> Summand:
     """f(nu) = ln Gamma(nu) itself (the inner closed form of double sums)."""
-    return lnfact(shift=0.0)
+    return _ln_gamma_of(1.0, 0.0)
 
 
 def ln_gamma_2nu() -> Summand:

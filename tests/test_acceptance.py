@@ -23,7 +23,7 @@ from fracsum.catalog import (
 )
 from fracsum.engine import frac_product, frac_sum_right
 from fracsum.polycore import Polynomial, poly_sum
-from fracsum.specialfn import CONSTANTS, log_gamma, riemann_zeta
+from fracsum.specialfn import CONSTANTS, hurwitz_zeta, log_gamma
 from fracsum.summands import (
     bd_term,
     geom,
@@ -55,7 +55,7 @@ def test_criterion_02_zeta_minus_one_chain():
     print(f"poly_sum(nu, 1, -1/2) = {v!r}")
     assert abs(v - (-0.125)) <= 1e-14
     derived = (-0.125) / 1.5
-    z = riemann_zeta(-1.0)
+    z = hurwitz_zeta(-1.0)
     print(f"-1/8 / (3/2) = {derived!r} vs zeta(-1) = {z.real!r}")
     assert abs(derived - z) <= 1e-10
 

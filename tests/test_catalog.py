@@ -149,7 +149,7 @@ def test_engine_error_is_recorded_on_its_point(monkeypatch, capsys):
     assert cli.main(["identity-run", "--id", "ERR", "--output", "csv"]) == 2
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[2] == text_fields == list(bad.fields())
-    assert text_fields[2:] == ["nan", "0.0", "nan", "0.0", "inf", "inf", "false"]
+    assert text_fields[2:] == ["nan", "nan", "nan", "nan", "inf", "inf", "false"]
 
 
 def test_experiment_summary_reads_not_applicable(all_reports):

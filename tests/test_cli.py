@@ -140,6 +140,25 @@ def test_overflowing_product_prints_inf(capsys):
         assert "converged false" in out
 
 
+def test_left_tail_of_finite_parts_past_the_float_range_exits_one(capsys):
+    # the tail's parts are finite, its modulus is not: the one error line
+    rc, out, err = run(capsys, ["sum", "--f", "geom:q=0.5+0.5i", "--from=1e-16", "--to=1i",
+                                "--direction", "left"])
+    assert (rc, out) == (1, "")
+    assert err == "error: the classical tail is not finite at level n = 4096\n"
+
+
+def test_product_of_finite_parts_past_the_float_range_is_not_converged(capsys):
+    # Gamma(z + 1) has finite parts whose modulus passes the float range
+    rc, out, _ = run(capsys, ["prod", "--f", "id", "--from", "1",
+                              "--to=170.63+0.15264258751037685i", "--output", "json"])
+    assert rc == 0
+    data = json.loads(out)
+    assert all(math.isfinite(part) for part in data["value"])
+    assert math.hypot(*data["value"]) == math.inf
+    assert (data["err_estimate"], data["converged"]) == (math.inf, False)
+
+
 @pytest.mark.parametrize("argv", [
     ["--f", "pow:a=60", "--from", "1", "--to", "1e10"],
     ["--f", "geom:q=0.5", "--from", "-2000", "--to", "-900"],

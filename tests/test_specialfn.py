@@ -20,10 +20,7 @@ from fracsum.specialfn import (
     CONSTANTS,
     digamma,
     hurwitz_zeta,
-    hurwitz_zeta_sderiv,
     log_gamma,
-    riemann_zeta,
-    riemann_zeta_sderiv,
 )
 
 EULER_GAMMA = 0.5772156649015328606065
@@ -224,41 +221,41 @@ def test_hurwitz_zeta_domain_errors():
 
 def test_sderiv_validates_order():
     with pytest.raises(ParameterError):
-        hurwitz_zeta_sderiv(3, 0.0, 1.0)
+        hurwitz_zeta(0.0, 1.0, 3)
     with pytest.raises(ParameterError):
-        hurwitz_zeta_sderiv(0, 0.0, 1.0)
+        hurwitz_zeta(0.0, 1.0, -1)
 
 
 def test_sderiv_zeta_prime_zero():
-    v = hurwitz_zeta_sderiv(1, 0.0, 1.0)
+    v = hurwitz_zeta(0.0, 1.0, 1)
     assert v.real == pytest.approx(-0.5 * math.log(2.0 * math.pi), rel=1e-11)
     # zeta'(0, 1/2) = -ln(2)/2 follows from the doubling relation
-    assert hurwitz_zeta_sderiv(1, 0.0, 0.5).real == pytest.approx(-0.5 * math.log(2.0), rel=1e-11)
+    assert hurwitz_zeta(0.0, 0.5, 1).real == pytest.approx(-0.5 * math.log(2.0), rel=1e-11)
 
 
 def test_sderiv_zeta_prime_minus_one():
-    assert hurwitz_zeta_sderiv(1, -1.0, 1.0).real == pytest.approx(
+    assert hurwitz_zeta(-1.0, 1.0, 1).real == pytest.approx(
         CONSTANTS.zeta_prime_minus1, rel=1e-11
     )
 
 
 def test_sderiv_frozen_points():
-    assert hurwitz_zeta_sderiv(1, -1.0, 1.25).real == pytest.approx(
+    assert hurwitz_zeta(-1.0, 1.25, 1).real == pytest.approx(
         -0.2530057213097115935223, rel=1e-10
     )
-    assert hurwitz_zeta_sderiv(1, -2.0, 0.25).real == pytest.approx(
+    assert hurwitz_zeta(-2.0, 0.25, 1).real == pytest.approx(
         -0.01093457644480239490019, rel=1e-9
     )
-    assert hurwitz_zeta_sderiv(1, 0.5, 1.5).real == pytest.approx(
+    assert hurwitz_zeta(0.5, 1.5, 1).real == pytest.approx(
         -4.036595774331045358298, rel=1e-10
     )
-    assert hurwitz_zeta_sderiv(2, -1.0, 0.75).real == pytest.approx(
+    assert hurwitz_zeta(-1.0, 0.75, 2).real == pytest.approx(
         -0.1720427653764513376332, rel=1e-9
     )
-    assert hurwitz_zeta_sderiv(2, 0.0, 1.3).real == pytest.approx(
+    assert hurwitz_zeta(0.0, 1.3, 2).real == pytest.approx(
         -2.009144633566421949738, rel=1e-10
     )
-    assert hurwitz_zeta_sderiv(2, -1.0, 1.5).real == pytest.approx(
+    assert hurwitz_zeta(-1.0, 1.5, 2).real == pytest.approx(
         -0.2498043698451946968556, rel=1e-9
     )
 
@@ -268,9 +265,9 @@ def test_second_derivative_against_differenced_first():
     h = 1e-4
     for s, x in ((-1.0, 1.0), (0.0, 1.3), (-1.0, 0.75)):
         fd = (
-            hurwitz_zeta_sderiv(1, s + h, x) - hurwitz_zeta_sderiv(1, s - h, x)
+            hurwitz_zeta(s + h, x, 1) - hurwitz_zeta(s - h, x, 1)
         ) / (2 * h)
-        assert abs(hurwitz_zeta_sderiv(2, s, x) - fd) < 5e-7
+        assert abs(hurwitz_zeta(s, x, 2) - fd) < 5e-7
 
 
 def test_first_derivative_against_differenced_zeta():
@@ -281,17 +278,18 @@ def test_first_derivative_against_differenced_zeta():
             hurwitz_zeta(s + h / 2, x) - hurwitz_zeta(s - h / 2, x)
         ) / h
         fd = (4 * refined - base) / 3
-        assert abs(hurwitz_zeta_sderiv(1, s, x) - fd) < 1e-8
+        assert abs(hurwitz_zeta(s, x, 1) - fd) < 1e-8
 
 
 def test_riemann_delegates():
-    assert riemann_zeta(-1.0).real == pytest.approx(-1.0 / 12.0, rel=1e-12)
-    assert riemann_zeta(2.0).real == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
-    assert riemann_zeta(-0.5).real == pytest.approx(-0.2078862249773545660173, rel=1e-11)
-    assert riemann_zeta_sderiv(1, 0.0).real == pytest.approx(
+    # Riemann's zeta is hurwitz_zeta at its default x = 1
+    assert hurwitz_zeta(-1.0).real == pytest.approx(-1.0 / 12.0, rel=1e-12)
+    assert hurwitz_zeta(2.0).real == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
+    assert hurwitz_zeta(-0.5).real == pytest.approx(-0.2078862249773545660173, rel=1e-11)
+    assert hurwitz_zeta(0.0, b=1).real == pytest.approx(
         -0.5 * math.log(2.0 * math.pi), rel=1e-11
     )
-    assert riemann_zeta_sderiv(2, -1.0).real == pytest.approx(
+    assert hurwitz_zeta(-1.0, b=2).real == pytest.approx(
         -0.2502044241096003892911, rel=1e-9
     )
 
@@ -320,7 +318,7 @@ def test_hurwitz_recurrence(s, x):
     st.integers(min_value=1, max_value=2),
 )
 def test_sderiv_recurrence(s, x, b):
-    lhs = hurwitz_zeta_sderiv(b, s, x) - hurwitz_zeta_sderiv(b, s, x + 1.0)
+    lhs = hurwitz_zeta(s, x, b) - hurwitz_zeta(s, x + 1.0, b)
     rhs = (-math.log(x)) ** b * x ** complex(-s)
     assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
@@ -332,3 +330,25 @@ def test_parameter_robustness():
     for s, x in ((-1.0, 0.75), (2.0, 1.3), (-3.5, 2.0), (0.5, 5.5)):
         want = complex(mpmath.zeta(s, x))
         assert abs(hurwitz_zeta(s, x) - want) <= 1e-12 * abs(want), (s, x)
+
+
+def test_catalog_zeta_points_against_mpmath(monkeypatch):
+    # every (s, x, b) at which one sweep of the identity catalog evaluates a
+    # closed form, among them complex s = -1-1i and b = 1, 2 at x = 0.25 ... 3
+    mpmath = pytest.importorskip("mpmath")
+    from fracsum import catalog
+
+    points = []
+
+    def recorded(s, x=1.0, b=0):
+        points.append((s, x, b))
+        return hurwitz_zeta(s, x, b)
+
+    monkeypatch.setattr(catalog, "hurwitz_zeta", recorded)
+    catalog.run_all()
+    assert len(points) == 49
+    assert {b for _, _, b in points} == {0, 1, 2}
+    assert any(complex(s).imag for s, _, _ in points)
+    for s, x, b in points:
+        want = complex(mpmath.zeta(s, x, b))
+        assert abs(hurwitz_zeta(s, x, b) - want) <= 1e-10 * max(1.0, abs(want)), (s, x, b)
