@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -21,8 +22,8 @@ from .engine import (
     frac_sum_left,
     frac_sum_right,
 )
-from .errors import FracsumError, SummandSpecError
-from .summands import _format_complex, factor_from_spec, from_spec, parse_complex
+from .errors import FracsumError
+from .summands import _LITERAL, _format_complex, factor_from_spec, from_spec, parse_complex
 
 _HANDLED = (FracsumError, OSError)
 
@@ -31,25 +32,13 @@ class _UsageError(Exception):
     pass
 
 
-class _ComplexLiteral:
-    """Matches the tokens parse_complex accepts."""
-
-    @staticmethod
-    def match(text: str) -> bool:
-        try:
-            parse_complex(text)
-        except SummandSpecError:
-            return False
-        return True
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads a token that starts with '-' as an option unless it
         # matches this pattern, by default a plain negative decimal only;
-        # bounds such as -0.5+1i or -1e-1 are values too
-        self._negative_number_matcher = _ComplexLiteral
+        # bounds in the literal grammar, such as -0.5+1i or -1e-1, are values
+        self._negative_number_matcher = re.compile(rf"(?:{_LITERAL.pattern})\s*\Z")
 
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # identity-suite failures, so reroute through the exit-1 path.

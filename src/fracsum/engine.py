@@ -83,6 +83,7 @@ __all__ = [
 SCHEDULE = tuple(64 << j for j in range(8))
 RICHARDSON_ORDER = 4
 DEFAULT_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     xo, yo = (x.real, y.real) if x.imag == y.imag == 0.0 else (x, y)
     delta = y - x
     if abs(delta.real) <= 2_000_000 and abs(delta - round(delta.real)) <= (
-        4.0 * float(np.finfo(float).eps) * max(1.0, _modulus(x), _modulus(y))
+        4.0 * _EPS * max(1.0, _modulus(x), _modulus(y))
     ):
         # Integer-length interval: continued summation, translation and the
         # single-term axiom reduce the sum to the classical loop (negative
@@ -286,7 +287,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
             return _result(0j, 0.0, 0, (), tol)
         _guard_check(f, pts)
         vals = np.asarray(f.eval(pts))
-        err = 4.0 * float(np.finfo(float).eps) * float(np.abs(vals).sum())
+        err = 4.0 * _EPS * float(np.abs(vals).sum())
         return _result(sign * complex(vals.sum()), err, pts.size, (), tol)
     # One pass over the schedule. Its whole orbit is checked against the
     # domain before any evaluation: the stop below saves evaluations, not the
@@ -295,12 +296,13 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     # pos and subtracted at neg. pos runs on to the last level's nodes.
     ns, last, sig = SCHEDULE, SCHEDULE[-1], f.sigma
     ks = np.arange(0, last + sig + 1, dtype=float)
+    # Right, nu + x - 1 is ks + x: x - 1 would drop the digits of a small x.
+    # Left, x - 1 - k is x - (k + 1): the right orbit of [-y, -x], negated.
     if left:
-        pos, neg = yo - ks, (xo - 1.0) - ks[:last]
+        pos, neg = yo - ks, xo - (ks[:last] + 1.0)
     else:
-        # nu + x - 1 as ks + x: x - 1 would drop the digits of a small x
         pos, neg = ks + xo, (ks[:last] + 1.0) + yo
-    step, pos0, neg0 = (-1.0, yo, xo - 1.0) if left else (1.0, xo, yo + 1.0)
+    step = -1.0 if left else 1.0
     _guard_check(f, pos)
     _guard_check(f, neg)
     # The polynomial part of every level from one eval call, for the levels
@@ -312,7 +314,6 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         vals = np.asarray(f.eval(nodes.ravel())).reshape(nodes.shape)
         poly = (vals @ _newton_weights(yo - xo + 1.0, sig)).tolist()
     order, rate = RICHARDSON_ORDER, f.rate_hint
-    eps = float(np.finfo(float).eps)
     levels: list[tuple[int, complex]] = []
     row: list[complex] = []  # the newest row of the Richardson tableau
     diag: list[complex] = []
@@ -327,13 +328,13 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         if not np.isfinite(tail):
             raise DomainError(f"the classical tail is not finite at level n = {n}")
         term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
-        for o, v, base, s in ((pos, vals_pos, pos0, 1.0), (neg, vals_neg, neg0, -1.0)):
-            shift += s * complex((o[lo] - step * ks[lo]) - base) * complex(v[-1] - v[0])
+        for o, v, s in ((pos, vals_pos, 1.0), (neg, vals_neg, -1.0)):
+            shift += s * complex((o[lo] - step * ks[lo]) - o[0]) * complex(v[-1] - v[0])
         # Every evaluated term carries about 2 eps * |f| of rounding, and a
         # level's terms add it up like a random walk. Neighbouring deep levels
         # carry alike amounts of that noise, so the tableau's last difference
         # need not see it.
-        walk = 2.0 * eps * math.sqrt(term_sq)
+        walk = 2.0 * _EPS * math.sqrt(term_sq)
         cancel_mag = max(cancel_mag, _modulus(tail) + _modulus(poly[j]))
         levels.append((n, tail + poly[j]))
         # A level whose terms leave S(n) unchanged has reached the limit: the
@@ -377,7 +378,7 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         # reached the value, so its tail is value - p(n).
         for p_term in poly[len(levels):]:
             cancel_mag = max(cancel_mag, _modulus(value - p_term) + _modulus(p_term))
-        floor = 8.0 * eps * cancel_mag + kept_round + 2 * last * math.ulp(0.0)
+        floor = 8.0 * _EPS * cancel_mag + kept_round + 2 * last * math.ulp(0.0)
         err = max(err, floor)
     return _result(value, err, ns[m_used - 1], levels, tol)
 

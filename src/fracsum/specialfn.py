@@ -1,10 +1,10 @@
 """Reference special functions for closed-form identity values.
 
 Everything here is double precision and complex-capable, with numpy as the
-only dependency: log-Gamma and digamma, both elementwise on a numpy array so
-a summand's whole orbit is one call (log-Gamma stays real on a float array
-where it is real), each a recurrence lift into an asymptotic series
-(Stirling's for ln Gamma),
+only dependency: log-Gamma, elementwise on a numpy array so a summand's whole
+orbit is one call (it stays real on a float array where it is real), and
+digamma on one complex number, each a recurrence lift into an asymptotic
+series (Stirling's for ln Gamma),
 the Hurwitz zeta function and its first two s-derivatives in one function,
 Riemann's zeta at its default x = 1 (Euler-Maclaurin with fixed truncation,
 differentiated analytically in s), and named constants stored as
@@ -46,30 +46,30 @@ _B2K = (
 _STIRLING = tuple(_B2K[k] / (2 * k * (2 * k - 1)) for k in range(10, 0, -1))
 
 
-def _check_poles(z: np.ndarray, name: str) -> None:
+def _check_poles(z: np.ndarray) -> None:
     """Raise PoleError at a nonpositive integer of z, a pole of Gamma."""
     cand = z.real <= 0.0
     if np.count_nonzero(cand):  # the fractional-part test only where it can hold
         cand = z[cand & (z.imag == 0.0)]
         poles = cand[cand.real % 1.0 == 0.0]
         if poles.size:
-            raise PoleError(f"{name} pole at z={complex(poles[0])}", complex(poles[0]))
+            raise PoleError(f"log_gamma pole at z={complex(poles[0])}", complex(poles[0]))
 
 
-def _lift(w: np.ndarray, target: float, term) -> tuple[np.ndarray, np.ndarray | float]:
-    """(w + m, sum_{j<m} term(w + j)) elementwise, m the fewest unit steps to
-    Re(w + m) >= target: one pass per step over the elements still below
-    target, so memory does not grow with |Re w|. (w, 0.0) if none is below."""
-    below = w.real < target
+def _lift(w: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """(w + m, sum_{j<m} ln(w + j)) elementwise, m the fewest unit steps to
+    Re(w + m) >= 6: one pass per step over the elements still below 6, so
+    memory does not grow with |Re w|. (w, 0.0) if none is below."""
+    below = w.real < 6.0
     if not np.count_nonzero(below):
         return w, 0.0
     u, w, lift = w[below], w.copy(), np.zeros_like(w)
     acc, idx = np.zeros_like(u), np.arange(u.size)
     while idx.size:
         v = u[idx]
-        acc[idx] += term(v)
+        acc[idx] += np.log(v)
         u[idx] = v = v + 1.0
-        idx = idx[v.real < target]
+        idx = idx[v.real < 6.0]
     w[below], lift[below] = u, acc
     return w, lift
 
@@ -122,10 +122,10 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     z = np.atleast_1d(np.asarray(z))
     if scalar or z.dtype != np.float64 or not (z >= 0.5).all():
         z = z.astype(complex, copy=False)
-    _check_poles(z, "log_gamma")
+    _check_poles(z)
     refl = z.real < 0.5
     any_refl = np.count_nonzero(refl)
-    w, lift = _lift(np.where(refl, 1.0 - z, z) if any_refl else z, 6.0, np.log)
+    w, lift = _lift(np.where(refl, 1.0 - z, z) if any_refl else z)
     t = 1.0 / w
     t2, series = t * t, _STIRLING[0]
     for c in _STIRLING[1:]:
@@ -136,9 +136,8 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    """Digamma psi(z), to about 1e-14 relative, elementwise on a complex numpy
-    array (a scalar gives a Python complex).
+def digamma(z: complex) -> complex:
+    """Digamma psi(z), to about 1e-14 relative, as a Python complex.
 
     For Re z < 1/2, reflection psi(z) = psi(1 - z) - pi cot(pi z). Otherwise
     the recurrence psi(z) = psi(z + 1) - 1/z lifts z to Re z >= 16, where the
@@ -146,24 +145,24 @@ def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
     B_16.
 
     Raises:
-        PoleError: some element of z is a nonpositive integer.
+        PoleError: z is a nonpositive integer.
     """
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_poles(z, "digamma")
-    refl = z.real < 0.5
-    any_refl = np.count_nonzero(refl)
-    w, lift = _lift(np.where(refl, 1.0 - z, z) if any_refl else z, 16.0, lambda u: 1.0 / u)
-    acc = np.log(w) - 0.5 / w - lift
-    inv = 1.0 / w  # squared after inverting: w * w overflows past |w| ~ 1.3e154
-    inv2 = inv * inv
-    p = inv2
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and z.real % 1.0 == 0.0:
+        raise PoleError(f"digamma pole at z={z}", z)
+    if z.real < 0.5:
+        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
+    lift = 0.0
+    while z.real < 16.0:
+        lift += 1.0 / z
+        z += 1.0
+    acc = cmath.log(z) - 0.5 / z - lift
+    inv = 1.0 / z  # squared after inverting: z * z overflows past |z| ~ 1.3e154
+    p = inv2 = inv * inv
     for k in range(1, 9):
         acc -= _B2K[k] / (2 * k) * p
         p = p * inv2
-    if any_refl:
-        acc[refl] -= math.pi / np.tan(math.pi * z[refl])
-    return complex(acc[0]) if scalar else acc
+    return acc
 
 
 # Euler-Maclaurin truncation for the Hurwitz zeta: M direct terms, then

@@ -284,6 +284,13 @@ def test_negative_literal_bounds(capsys, bound):
     assert (rc, err) == (0, "")
 
 
+def test_overflowing_negative_literal_is_a_value(capsys):
+    # the literal grammar makes -1e400 a value, and parse_complex rejects it
+    rc, out, err = run(capsys, ["sum", "--f", "recip", "--from", "1", "--to", "-1e400"])
+    assert (rc, out) == (1, "")
+    assert err == "error: complex literal '-1e400' is not finite\n"
+
+
 def test_figure_to_path_and_stdout(capsys, tmp_path):
     out_file = tmp_path / "bd.csv"
     rc, _, _ = run(capsys, ["figure", "--which", "bd", "--path", str(out_file)])

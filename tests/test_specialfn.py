@@ -75,10 +75,10 @@ def test_log_gamma_pole_rejected():
 @pytest.mark.filterwarnings("error")
 def test_log_gamma_array_matches_mpmath_and_scalar_calls():
     # Re z < 1/2 in both half-planes (the reflection branch), points within
-    # 1e-9 of the real axis, both sides of the recurrence lift to Re z >= 6
-    # (and of polygamma's lift to 16), and |z| up to 2e4, where the
-    # ln Gamma(2 nu + 1) orbit reaches at n = 8192. Warnings are errors, so a
-    # masked branch that computes inf or nan on the points it discards fails here.
+    # 1e-9 of the real axis, both sides of the recurrence lift to Re z >= 6,
+    # and |z| up to 2e4, where the ln Gamma(2 nu + 1) orbit reaches at
+    # n = 8192. Warnings are errors, so a masked branch that computes inf or
+    # nan on the points it discards fails here.
     mpmath = pytest.importorskip("mpmath")
     re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 1.0, 3.7, 5.9, 6.0, 6.1,
                    15.9, 16.0, 16.1, 40.0, 1e3, 1.6e4, 2e4])
@@ -169,23 +169,19 @@ def test_b2k_literals_are_the_rounded_bernoulli_numbers():
 
 
 @pytest.mark.filterwarnings("error")
-def test_polygamma_array_matches_mpmath_and_scalar_calls():
-    # digamma on arrays: both sides of the recurrence lift to Re z >= 16, and
-    # the reflection at Re z < 1/2, in both half-planes and next to the real
-    # axis; and past |z| ~ 1.3e154, where z * z overflows
+def test_digamma_scalar_matches_mpmath_and_rejects_poles():
+    # both sides of the recurrence lift to Re z >= 16, and the reflection at
+    # Re z < 1/2, in both half-planes and next to the real axis; and past
+    # |z| ~ 1.3e154, where z * z overflows
     mpmath = pytest.importorskip("mpmath")
-    re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 3.7, 15.5, 15.9, 16.0, 16.1, 40.0, 1e3])
-    im = np.array([-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0])
-    z = np.append((re[:, None] + 1j * im[None, :]).ravel(), [1e300, 3e153 + 4e153j])
-    got = digamma(z)
-    assert got.shape == z.shape
-    for w, g in zip(z, got):
-        assert g == digamma(complex(w))
-        want = complex(mpmath.digamma(complex(w)))
-        assert abs(g - want) <= 1e-14 * abs(want), w
+    re = [-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 3.7, 15.5, 15.9, 16.0, 16.1, 40.0, 1e3]
+    im = [-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0]
+    for w in [complex(a, b) for a in re for b in im] + [1e300, 3e153 + 4e153j]:
+        want = complex(mpmath.digamma(w))
+        assert abs(digamma(w) - want) <= 1e-14 * abs(want), w
     assert type(digamma(2.5)) is complex
     with pytest.raises(PoleError):
-        digamma(np.array([1.5, 2.0 + 1j, -3.0, 4.0]))
+        digamma(-3.0)
 
 
 def test_hurwitz_zeta_basel():
