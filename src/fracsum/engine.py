@@ -137,10 +137,10 @@ class SumResult:
     """Outcome of one engine evaluation.
 
     levels holds the raw values (n_j, S(n_j)) of the levels run, a prefix of
-    SCHEDULE, before extrapolation, for diagnostics; a tail that stops on two
-    equal levels runs only two of them. n_used is the n of the kept level
-    (for that stop, the level that matched the one before it), the count of
-    classical terms a closed route evaluated, or 0 for an exact polynomial.
+    SCHEDULE, before extrapolation, for diagnostics. n_used is the n of the
+    kept level (for an equal-level stop, the first level equal to the one
+    before it: over [1, 1/2], geom(0.5) runs 2 levels, geom(0.9) 5), the count
+    of classical terms a closed route evaluated, or 0 for an exact polynomial.
     converged means err_estimate <= tol * max(1, |value|), for the tol the
     sum was asked for. The rule holds for products too, with err_estimate
     the product's error (see frac_product).

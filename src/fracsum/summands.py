@@ -279,10 +279,9 @@ def zpp_term(x: complex) -> Summand:
     )
 
 
-def identity_factor() -> Summand:
-    """The product summand of the factor nu: ln nu, the summand log_summand.
-    frac_product reports a point where nu meets the cut as a BranchCutError."""
-    return log_summand()
+# The product summand of the factor nu: ln nu, the summand log_summand.
+# frac_product reports a point where nu meets the cut as a BranchCutError.
+identity_factor = log_summand
 
 
 def tanh_factor() -> Summand:
@@ -346,21 +345,19 @@ def gosper_term(b: float) -> Summand:
 # ---------------------------------------------------------------------------
 # spec-string front end (used by the CLI)
 
-# family -> constructor; families missing from _SPEC_KEYS take no parameters
-_SPEC_FAMILIES: dict[str, Callable[..., Summand]] = {
-    "recip": recip,
-    "log": log_summand,
-    "vlnv": vlnv,
-    "lnfact": lnfact,
+# family -> (constructor, its arguments in order as spec keys; poly's is a list)
+_SPEC_FAMILIES: dict[str, tuple[Callable[..., Summand], tuple[str, ...]]] = {
+    "recip": (recip, ()),
+    "log": (log_summand, ()),
+    "vlnv": (vlnv, ()),
+    "lnfact": (lnfact, ()),
     # as a summand the identity map is the linear polynomial
-    "id": lambda: poly_summand((0.0, 1.0)),
-    "pow": power,
-    "geom": geom,
-    "binom": binom,
-    "poly": poly_summand,
+    "id": (lambda: poly_summand((0.0, 1.0)), ()),
+    "pow": (power, ("a",)),
+    "geom": (geom, ("q",)),
+    "binom": (binom, ("c", "x")),
+    "poly": (poly_summand, ()),
 }
-# the constructor's arguments, in order, as spec keys (poly takes a list)
-_SPEC_KEYS = {"pow": ("a",), "geom": ("q",), "binom": ("c", "x")}
 
 
 # an unsigned decimal; a literal is A, [A]+[B]i, [A]-[B]i or Bi
@@ -413,11 +410,14 @@ def _parse_spec(spec: str) -> tuple[str, tuple]:
     """
     parts = spec.strip().split(":")
     fam = parts[0]
+    if fam not in _SPEC_FAMILIES:
+        raise SummandSpecError(f"unknown summand family {fam!r}")
     if fam == "poly":
         if len(parts) != 2 or not parts[1]:
             raise SummandSpecError("poly needs a coefficient list: poly:c0,c1,...")
         return fam, (tuple(parse_complex(t) for t in parts[1].split(",")),)
-    if fam in _SPEC_FAMILIES and fam not in _SPEC_KEYS:
+    keys = _SPEC_FAMILIES[fam][1]
+    if not keys:
         if len(parts) > 1:
             raise SummandSpecError(f"family {fam!r} takes no parameters")
         return fam, ()
@@ -429,9 +429,6 @@ def _parse_spec(spec: str) -> tuple[str, tuple]:
         if key in kv:
             raise SummandSpecError(f"duplicate parameter {key!r} in {spec!r}")
         kv[key] = parse_complex(val)
-    if fam not in _SPEC_KEYS:
-        raise SummandSpecError(f"unknown summand family {fam!r}")
-    keys = _SPEC_KEYS[fam]
     if set(kv) != set(keys):
         raise SummandSpecError(
             f"{fam} takes exactly " + ":".join(f"{k}=<complex>" for k in keys)
@@ -452,7 +449,7 @@ def from_spec(spec: str) -> Summand:
         SummandSpecError: unknown family or malformed parameters.
     """
     fam, args = _parse_spec(spec)
-    return _SPEC_FAMILIES[fam](*args)
+    return _SPEC_FAMILIES[fam][0](*args)
 
 
 def factor_from_spec(spec: str) -> Summand:
@@ -472,7 +469,7 @@ def factor_from_spec(spec: str) -> Summand:
         a = _real(args[0])
         lf = identity_factor()
         return replace(lf, eval=lambda pts: a * lf.eval(pts))
-    _SPEC_FAMILIES[fam](*args)  # the family's own parameter checks first
+    _SPEC_FAMILIES[fam][0](*args)  # the family's own parameter checks first
     if fam == "id":
         return identity_factor()
     if fam == "geom":

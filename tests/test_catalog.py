@@ -182,6 +182,24 @@ def test_gosper_routes_agree_and_support_is_noted(all_reports):
     assert any("support" in note for note in rep.notes)
 
 
+@pytest.mark.parametrize("route", ["_gosper_termwise", "_gosper_series"])
+def test_gosper_route_that_raises_is_a_disagreement(monkeypatch, route):
+    # a failed route's lhs is nan: its pairwise difference is nan, not agreement
+    real = getattr(catalog, route)
+
+    def failing(b):
+        if b == 2.0:
+            raise DomainError("route failed", b)
+        return real(b)
+
+    monkeypatch.setattr(catalog, route, failing)
+    rep = run_identity("GOSPER")
+    assert "b=2: pairwise max diff nan" in rep.notes
+    assert "b=1: pairwise max diff nan" not in rep.notes
+    assert rep.notes[-1] == "routes disagree beyond 1e-6 at some b (recorded finding)"
+    assert not any("support" in note for note in rep.notes)
+
+
 def test_gosper_routes_match_the_closed_form(all_reports):
     # the series route extrapolates its partial sums in 1/N, so it is not
     # left with the 1/(pi N) truncation of a direct sum

@@ -465,6 +465,9 @@ def test_from_spec_rejects_malformed():
     ):
         with pytest.raises(SummandSpecError):
             summands.from_spec(bad)
+    # the family is checked before its parameters
+    with pytest.raises(SummandSpecError, match="unknown summand family 'foo'"):
+        summands.from_spec("foo:zzz")
 
 
 def test_factor_from_spec_families():
