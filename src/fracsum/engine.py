@@ -11,10 +11,13 @@ sigma + 1 orbit points where the window [n+x, n+y] starts), then
 for right sums; left sums replace n -> -n with tails running downward. The
 limit is discretized on the doubling levels of SCHEDULE, n_j = 64 * 2^j for
 j < 8, and accelerated by RICHARDSON_ORDER (4) Richardson eliminations, in
-one pass over that schedule: the orbit of the whole schedule is checked
-against the summand's domain before any term is evaluated, the polynomial
-part of every level is computed once, and each level run adds one row to a
-single Richardson tableau. The loop stops at whichever comes first:
+one pass over that schedule. The orbit of the whole schedule is laid out
+level by level, each level's added points and then its subtracted ones, and
+checked against the summand's domain in one call before any term is
+evaluated (a rejected orbit names its first bad point in that order); the
+polynomial part of every level is computed once; each level run is one eval
+call over its slice of the orbit and adds one row to a single Richardson
+tableau. The loop stops at whichever comes first:
 * a level whose value S(n) equals the value of the level before it bit for
   bit, as a geometric tail soon gives. That level is kept, and its claim is
   the rounding floor alone. The stop assumes that once a level's terms add
@@ -54,6 +57,7 @@ Numerical notes that matter here:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Sequence
@@ -61,7 +65,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import BranchCutError, DomainError, ParameterError
-from .polycore import Polynomial, poly_sum
+from .polycore import MAX_DEGREE, Polynomial, poly_sum
 
 __all__ = [
     "SCHEDULE",
@@ -92,15 +96,17 @@ class Summand:
 
     eval returns the values elementwise over a numpy array of orbit points,
     the only points it is given: float64 between real bounds, on every route,
-    complex128 otherwise. A summand that is complex on the real axis must
+    complex128 otherwise. Elementwise matters: one call holds a level's added
+    points and then its subtracted ones, so a value must not depend on the
+    other points of the call. A summand that is complex on the real axis must
     promote real points itself (as summands.binom does); a real evaluation
     of it gives NaN, which ends in a DomainError, never in a silently real
     value. sigma is the asymptotic degree, an integer: the polynomial of
     this degree that interpolates f at sigma + 1 orbit points past n makes
     f - p_n vanish along the tail; -1, the default, means p_n = 0, for a
     summand with f(n+z) -> 0. domain_guard(points) -> bool array marks points
-    where f is defined; the engine raises the DomainError that names the
-    orbit point it rejects.
+    where f is defined; it sees the whole orbit in one call, and the engine
+    raises the DomainError that names the first orbit point it rejects.
     rate_hint is the expected leading error decay exponent p in n^{-p} (1
     unless stated), used by Richardson extrapolation; it may be complex, as
     a complex power's is, with Re p > 0.
@@ -224,6 +230,27 @@ def _guard_check(f: Summand, pts: np.ndarray) -> None:
         raise DomainError(f"summand undefined at orbit point {bad}", bad)
 
 
+@functools.lru_cache(maxsize=4)  # one entry serves every sigma <= MAX_DEGREE
+def _orbit_layout(sigma: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The limit route's orbit in level order: level j's added points k + x,
+    k in [n_{j-1}, n_j), then its subtracted points (k + 1) + y, and after
+    the last level its nodes k + x, k = n_last + i, i <= sigma. Level j is
+    the slice [2 n_{j-1}, 2 n_j), and an added k is point k + n_{j-1}.
+    Returns the k or k + 1 of each point, the mask of the subtracted ones,
+    and the points of each level's nodes k = n_j + i (2 n_j + i for i < n_j)."""
+    starts = np.array([0, *SCHEDULE])
+    levels = [np.arange(lo, n, dtype=float) for lo, n in zip(starts, SCHEDULE)]
+    ks = np.concatenate([h for k in levels for h in (k, k + 1.0)]
+                        + [SCHEDULE[-1] + np.arange(sigma + 1.0)])
+    subtracted = np.concatenate([np.arange(2 * k.size) >= k.size for k in levels]
+                                + [np.zeros(sigma + 1, dtype=bool)])
+    k_nodes = np.add.outer(SCHEDULE, np.arange(sigma + 1))
+    nodes = k_nodes + starts[np.searchsorted(starts, k_nodes, side="right") - 1]
+    for a in ks, subtracted, nodes:  # shared by every sum
+        a.flags.writeable = False
+    return ks, subtracted, nodes
+
+
 def _newton_weights(length: float | complex, degree: int) -> np.ndarray:
     """K_i, i = 0..degree: sum_i K_i f(a + i) is the sum over [a, a + length - 1]
     of the polynomial through the f(a + i). Newton's p(a + t) = sum_m C(t, m) D^m f(a)
@@ -286,32 +313,37 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
         if not pts.size:
             return _result(0j, 0.0, 0, (), tol)
         _guard_check(f, pts)
-        vals = np.asarray(f.eval(pts))
+        # an overflow inside eval can leave a finite wrong term (numpy's 1.0 / z)
+        try:
+            with np.errstate(over="raise"):
+                vals = np.asarray(f.eval(pts))
+        except FloatingPointError as exc:
+            raise DomainError(f"a term of the sum is not finite: {exc}") from exc
         err = 4.0 * _EPS * float(np.abs(vals).sum())
         return _result(sign * complex(vals.sum()), err, pts.size, (), tol)
     # One pass over the schedule. Its whole orbit is checked against the
     # domain before any evaluation: the stop below saves evaluations, not the
     # domain, and an orbit that meets a pole or a cut past the stop still has
-    # no limit. Level j evaluates the orbit points past n_{j-1}: f is added at
-    # pos and subtracted at neg. pos runs on to the last level's nodes.
+    # no limit. The orbit is laid out level by level (see _orbit_layout):
+    # level j is the slice [2 n_{j-1}, 2 n_j), one eval call.
     ns, last, sig = SCHEDULE, SCHEDULE[-1], f.sigma
-    ks = np.arange(0, last + sig + 1, dtype=float)
-    # Right, nu + x - 1 is ks + x: x - 1 would drop the digits of a small x.
+    # every sigma up to MAX_DEGREE reads a prefix of one shared layout
+    ks, sub, nodes = _orbit_layout(max(sig, MAX_DEGREE))
+    ks, sub, nodes = ks[:2 * last + sig + 1], sub[:2 * last + sig + 1], nodes[:, :sig + 1]
+    # Right, nu + x - 1 is k + x: x - 1 would drop the digits of a small x.
     # Left, x - 1 - k is x - (k + 1): the right orbit of [-y, -x], negated.
     if left:
-        pos, neg = yo - ks, xo - (ks[:last] + 1.0)
+        orbit = np.where(sub, xo, yo) - ks
     else:
-        pos, neg = ks + xo, (ks[:last] + 1.0) + yo
+        orbit = np.where(sub, yo, xo) + ks
     step = -1.0 if left else 1.0
-    _guard_check(f, pos)
-    _guard_check(f, neg)
+    _guard_check(f, orbit)
     # The polynomial part of every level from one eval call, for the levels
     # run and for the floor's share of the skipped ones: p_n interpolates f
-    # at the nodes pos[n], ..., pos[n + sigma], where the window starts.
+    # at the added points k = n, ..., n + sigma, where the window starts.
     poly = [0j] * len(ns)
     if sig >= 0:
-        nodes = pos[np.add.outer(ns, np.arange(sig + 1))]
-        vals = np.asarray(f.eval(nodes.ravel())).reshape(nodes.shape)
+        vals = np.asarray(f.eval(orbit[nodes.ravel()])).reshape(nodes.shape)
         poly = (vals @ _newton_weights(yo - xo + 1.0, sig)).tolist()
     order, rate = RICHARDSON_ORDER, f.rate_hint
     levels: list[tuple[int, complex]] = []
@@ -322,14 +354,15 @@ def _frac_sum(f: Summand, x: complex, y: complex, tol: float, left: bool) -> Sum
     shift, shift_row = 0j, []  # the orbit's rounding in S(n) (module notes), its row
     value, err, m_used, kept_round = None, math.inf, len(ns), math.inf
     for j, (lo, n) in enumerate(zip([0, *ns], ns)):
-        vals_pos = np.asarray(f.eval(pos[lo:n]))
-        vals_neg = np.asarray(f.eval(neg[lo:n]))
-        tail = tail + complex((vals_pos - vals_neg).sum())
+        vals = np.asarray(f.eval(orbit[2 * lo:2 * n]))
+        added, subtracted = vals[:n - lo], vals[n - lo:]
+        tail = tail + complex((added - subtracted).sum())
         if not np.isfinite(tail):
             raise DomainError(f"the classical tail is not finite at level n = {n}")
-        term_sq += float(np.vdot(vals_pos, vals_pos).real + np.vdot(vals_neg, vals_neg).real)
-        for o, v, s in ((pos, vals_pos, 1.0), (neg, vals_neg, -1.0)):
-            shift += s * complex((o[lo] - step * ks[lo]) - o[0]) * complex(v[-1] - v[0])
+        term_sq += float(np.vdot(added, added).real + np.vdot(subtracted, subtracted).real)
+        # each half's first point less its k, against the same half's at level 0
+        for first, first0, v, s in ((2 * lo, 0, added, 1.0), (lo + n, ns[0], subtracted, -1.0)):
+            shift += s * complex((orbit[first] - step * lo) - orbit[first0]) * complex(v[-1] - v[0])
         # Every evaluated term carries about 2 eps * |f| of rounding, and a
         # level's terms add it up like a random walk. Neighbouring deep levels
         # carry alike amounts of that noise, so the tableau's last difference
@@ -394,8 +427,9 @@ def frac_sum_right(f: Summand, x: complex, y: complex, *, tol: float = DEFAULT_T
 
     Raises:
         ParameterError: tol is not positive and finite.
-        DomainError: an orbit point fails the summand's domain guard, or the
-            classical tail of a level, or the sum, is not finite.
+        DomainError: an orbit point fails the summand's domain guard, the
+            classical tail of a level, or the sum, is not finite, or eval
+            overflows on the integer-length route.
     """
     return _frac_sum(f, x, y, tol, left=False)
 

@@ -9,6 +9,7 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,7 +137,6 @@ def test_harmonic_interval_at_default_levels():
 def test_small_lower_bound_keeps_its_digits(f, x, ref):
     # the right orbit's first point is x itself, not (x - 1) + 1, which would
     # round the digits of a small x away (to the pole 0 below 1.1e-16)
-    mpmath = pytest.importorskip("mpmath")
     res = frac_sum_right(f, x, 0.5)
     with mpmath.workdps(40):
         want = complex(ref(mpmath, mpmath.mpf(x)))
@@ -182,6 +182,16 @@ def test_closed_sum_past_the_float_range_is_a_domain_error(f, x, y):
         frac_sum_right(f, x, y)
 
 
+@pytest.mark.parametrize("f", [recip(), power(-1)], ids=["recip", "pow:-1"])
+@pytest.mark.parametrize("sum_", [frac_sum_right, frac_sum_left], ids=["right", "left"])
+def test_one_term_past_the_float_range_is_a_domain_error(f, sum_):
+    # 1/z is 3.3e-309 - 3.3e-309i, but numpy's complex division overflows in
+    # its intermediate and returns 0: an overflow inside eval is not a term
+    z = 1.5e308 + 1.5e308j
+    with pytest.raises(DomainError, match="not finite"):
+        sum_(f, z, z)
+
+
 @pytest.mark.parametrize("y", [3.5, 3.25])
 def test_every_route_evaluates_real_bounds_in_float64(y):
     # y = 3.5 takes the integer-length route, y = 3.25 the limit route
@@ -206,7 +216,6 @@ def test_integer_length_interval_is_classical():
 def test_long_integer_length_sums_stay_inside_the_claim():
     # 2,000,000 terms, the longest integer length the closed route takes:
     # the rounding of summing them must stay inside err_estimate
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         cases = [
             (recip(), 0.3, mpmath.digamma(mpmath.mpf(0.3) + 2000000) - mpmath.digamma(0.3)),
@@ -324,7 +333,6 @@ COMPLEX_RATE_CASES = [
                          ids=["decaying", "growing-1", "growing-2"])
 def test_complex_power_extrapolates_with_its_complex_rate(a, x, y):
     # sum_{nu=x}^{y} nu^a = zeta(-a, x) - zeta(-a, y + 1)
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         want = complex(mpmath.zeta(-a, x) - mpmath.zeta(-a, y + 1))
     res = frac_sum_right(power(a), x, y)
@@ -498,7 +506,6 @@ def test_left_sum_off_the_cut_matches_mpmath(name, f, x, y):
     # the orbit y - k, x - 1 - k runs beside the cut of ln nu and nu^a, on
     # one branch, and eval sees no other point: the sum is that branch's,
     # not 2 pi i (y - x + 1) off as a read on the other branch would be
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         want = complex(_left_sum_reference(mpmath, name, x, y))
     res = frac_sum_left(f, x, y)
@@ -507,7 +514,6 @@ def test_left_sum_off_the_cut_matches_mpmath(name, f, x, y):
 
 
 def test_left_product_off_the_cut_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         want = complex(mpmath.exp(_left_sum_reference(mpmath, "log", 1 - 0.5j, 2.3 - 0.5j)))
     res = frac_product(identity_factor(), 1 - 0.5j, 2.3 - 0.5j, left=True)
@@ -529,6 +535,13 @@ def test_left_sum_on_the_cut_names_the_orbit_point():
         frac_sum_left(log_summand(), 1.0, 2.5)
     with pytest.raises(BranchCutError, match=r"orbit point \(-0\.5\+0j\)"):
         frac_product(identity_factor(), 1.0, 2.5, left=True)
+
+
+def test_rejected_orbit_names_its_first_point_in_level_order():
+    # the added points 100.5 - k reach the cut at k = 101, in level 1; the
+    # subtracted points 0.3 - (k + 1) are on it from k = 0, in level 0
+    with pytest.raises(DomainError, match=r"orbit point \(-0\.7\+0j\)"):
+        frac_sum_left(log_summand(), 0.3, 100.5)
 
 
 # --------------------------------------------------------------------- products
@@ -608,7 +621,6 @@ def test_product_branch_cut_is_caught_before_any_evaluation():
 def test_power_factor_with_complex_exponent(a):
     # the summand is a ln nu, so no level value jumps by 2 pi i where the
     # principal log of nu^a would wrap
-    mpmath = pytest.importorskip("mpmath")
     f = factor_from_spec(f"pow:a={a.real}{a.imag:+}i")
     for x, y in ((1.0, 0.5), (1.0, 2.7), (0.5, 3.25), (2.5 + 0.5j, 1.25)):
         res = frac_product(f, x, y)

@@ -8,6 +8,7 @@ itself never imports that library.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,7 +80,6 @@ def test_log_gamma_array_matches_mpmath_and_scalar_calls():
     # and |z| up to 2e4, where the ln Gamma(2 nu + 1) orbit reaches at
     # n = 8192. Warnings are errors, so a masked branch that computes inf or
     # nan on the points it discards fails here.
-    mpmath = pytest.importorskip("mpmath")
     re = np.array([-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 1.0, 3.7, 5.9, 6.0, 6.1,
                    15.9, 16.0, 16.1, 40.0, 1e3, 1.6e4, 2e4])
     im = np.array([-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0])
@@ -101,7 +101,6 @@ def test_log_gamma_array_matches_mpmath_and_scalar_calls():
 def test_log_gamma_stays_float_where_it_is_real():
     # ln Gamma is real on [1/2, inf): a float64 array there stays float64,
     # any other point promotes the whole array to complex
-    mpmath = pytest.importorskip("mpmath")
     x = np.array([0.5, 0.73, 1.0, 1.5, 2.0, 5.9, 6.0, 6.1, 40.0, 1e3, 2e4])
     got = log_gamma(x)
     assert got.dtype == np.float64
@@ -158,7 +157,6 @@ def test_polygamma_at_tail_centers(z):
     # digamma, the one polygamma order left, at the engine's tail centers (64
     # and up) and at small centers reached only through the recurrence lift
     # and the reflection
-    mpmath = pytest.importorskip("mpmath")
     tol = 1e-15 if abs(z) >= 64 else 1e-14
     want = complex(mpmath.digamma(z))
     assert abs(digamma(z) - want) <= tol * abs(want)
@@ -173,7 +171,6 @@ def test_digamma_scalar_matches_mpmath_and_rejects_poles():
     # both sides of the recurrence lift to Re z >= 16, and the reflection at
     # Re z < 1/2, in both half-planes and next to the real axis; and past
     # |z| ~ 1.3e154, where z * z overflows
-    mpmath = pytest.importorskip("mpmath")
     re = [-7.3, -2.5, -0.7, 0.2, 0.49, 0.5, 3.7, 15.5, 15.9, 16.0, 16.1, 40.0, 1e3]
     im = [-30.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 30.0]
     for w in [complex(a, b) for a in re for b in im] + [1e300, 3e153 + 4e153j]:
@@ -322,7 +319,6 @@ def test_sderiv_recurrence(s, x, b):
 def test_parameter_robustness():
     # the fixed Euler-Maclaurin truncation against an independent evaluation,
     # on both sides of s = 0 (the Re s < 0 branch sums fewer direct terms)
-    mpmath = pytest.importorskip("mpmath")
     for s, x in ((-1.0, 0.75), (2.0, 1.3), (-3.5, 2.0), (0.5, 5.5)):
         want = complex(mpmath.zeta(s, x))
         assert abs(hurwitz_zeta(s, x) - want) <= 1e-12 * abs(want), (s, x)
@@ -331,7 +327,6 @@ def test_parameter_robustness():
 def test_catalog_zeta_points_against_mpmath(monkeypatch):
     # every (s, x, b) at which one sweep of the identity catalog evaluates a
     # closed form, among them complex s = -1-1i and b = 1, 2 at x = 0.25 ... 3
-    mpmath = pytest.importorskip("mpmath")
     from fracsum import catalog
 
     points = []

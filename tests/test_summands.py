@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +51,6 @@ COMPLEX_POINTS = np.array([2.5 + 1.5j, 0.3 - 0.5j, -3.2 + 0.7j, -70.5 - 0.5j, 64
 @pytest.mark.parametrize("f,ref", MPMATH_FAMILIES)
 @pytest.mark.parametrize("pts", [REAL_POINTS, COMPLEX_POINTS], ids=["real", "complex"])
 def test_family_eval_matches_mpmath(f, ref, pts):
-    mpmath = pytest.importorskip("mpmath")
     got = f.eval(pts)
     with mpmath.workdps(30):
         for p, v in zip(pts, got):
@@ -64,7 +64,6 @@ def test_log_gamma_family_derivatives_match_mpmath(f, ref):
     # eval at the nodes n, n + 1, ... of Newton's form. Every difference a
     # degree of 6 would take, at the 8 level nodes, is mpmath's but for the
     # nodes' rounding, which D^k adds up with a gain of at most 2^k
-    mpmath = pytest.importorskip("mpmath")
     nodes = np.add.outer(np.array(SCHEDULE, dtype=float), np.arange(7.0))
     vals = f.eval(nodes.ravel()).reshape(nodes.shape)
     eps = np.finfo(float).eps
@@ -84,13 +83,6 @@ def _traced(f):
     return replace(f, eval=lambda pts: calls.append(pts) or f.eval(pts)), calls
 
 
-def _is_orbit_point(pts, start, step, count):
-    """True where a point is start + step * k, k = 0..count - 1, to its rounding."""
-    k = np.round(((pts - start) / step).real)
-    near = np.abs(pts - (start + step * k)) <= 4 * np.finfo(float).eps * np.abs(pts)
-    return near & (k >= 0) & (k < count)
-
-
 NODE_FAMILIES = {"lnfact": summands.lnfact(), "vlnv": summands.vlnv(),
                  "pow:0.5": summands.power(0.5), "zpp_term": summands.zpp_term(0.5),
                  "log": summands.log_summand(), "tanh_factor": summands.tanh_factor(),
@@ -106,26 +98,47 @@ NODE_CASES.append(pytest.param(summands.tanh_factor(), 1.3, 4.45, True,
                                id="tanh_factor-(1.3, 4.45, True)"))
 
 
+def _near(pts, want):
+    """True when the points are the wanted ones, in order, each to its rounding."""
+    return pts.shape == want.shape and bool(
+        (np.abs(pts - want) <= 4 * np.finfo(float).eps * np.abs(want)).all())
+
+
 @pytest.mark.parametrize("f, x, y, left", NODE_CASES)
 def test_eval_sees_only_orbit_points(f, x, y, left):
-    # one node call for the polynomial parts of all the levels, then two calls
-    # per level run; every point is a point of the orbit, float64 between real
-    # bounds, the nodes reaching sigma past the last level
+    # one node call for the polynomial parts of all the levels, then one call
+    # per level run: its n_j - n_{j-1} added points, then as many subtracted
+    # ones, in k order; float64 between real bounds, the nodes reaching sigma
+    # past the last level
     g, calls = _traced(f)
     res = (frac_sum_left if left else frac_sum_right)(g, x, y)
-    count = SCHEDULE[-1] + f.sigma + 1
-    assert len(calls) == 1 + 2 * len(res.levels)
-    assert calls[0].size == len(SCHEDULE) * (f.sigma + 1)
+    assert len(calls) == 1 + len(res.levels)
     real = complex(x).imag == complex(y).imag == 0.0
     step = -1.0 if left else 1.0
-    pos = y if left else x
-    neg = x - 1.0 if left else y + 1.0
+    added = y if left else x
+    subtracted = x - 1.0 if left else y + 1.0
+    nodes = np.add.outer(np.array(SCHEDULE), np.arange(f.sigma + 1)).ravel()
+    assert _near(calls[0], added + step * nodes)
+    for pts, lo, n in zip(calls[1:], (0, *SCHEDULE), SCHEDULE):
+        k = np.arange(lo, n)
+        assert _near(pts, np.concatenate([added + step * k, subtracted + step * k])), n
     for pts in calls:
         assert pts.dtype == (np.float64 if real else np.complex128)
-        on_orbit = _is_orbit_point(pts, pos, step, count) | _is_orbit_point(pts, neg, step, count)
-        assert on_orbit.all()
     if real:
         assert res.value.imag == 0.0
+
+
+@pytest.mark.parametrize("f", [summands.recip(), summands.power(0.5), summands.lnfact(),
+                               summands.nu_lnfact()], ids=["recip", "pow:0.5", "lnfact",
+                                                           "nu_lnfact"])
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_domain_guard_sees_the_whole_orbit_once(f, left):
+    # one guard call per limit-route sum: both halves of every level of the
+    # schedule, and the sigma + 1 nodes past the last one
+    sizes = []
+    g = replace(f, domain_guard=lambda pts: sizes.append(pts.size) or f.domain_guard(pts))
+    (frac_sum_left if left else frac_sum_right)(g, 1 - 0.5j, 2.3 - 0.5j)
+    assert sizes == [2 * SCHEDULE[-1] + f.sigma + 1]
 
 
 @pytest.mark.parametrize("f", [summands.lognu_lnfact(), summands.nu_lnfact()],
@@ -272,7 +285,6 @@ def test_real_orbit_evaluates_in_float64(f):
 
 @pytest.mark.parametrize("a", [0.5, 1.3, -0.286, 2.5])
 def test_real_power_is_within_an_ulp_of_mpmath(a):
-    mpmath = pytest.importorskip("mpmath")
     pts = np.concatenate([np.arange(1, 400) * 0.731 + 0.37, 2.0 ** np.arange(21) + 0.37])
     got = summands.power(a).eval(pts)
     with mpmath.workdps(40):
@@ -316,7 +328,6 @@ def test_binom_half_integer_values():
 def test_binom_array_matches_mpmath(c, x):
     # the points cross c + 1 and c + 2 (zero coefficients) into the region
     # Re(c - w + 1) < 1/2, where 1/Gamma goes through reflection
-    mpmath = pytest.importorskip("mpmath")
     w = np.concatenate([np.linspace(-0.9, 6.2, 30), [2.0 + 0.5j, 4.2 - 0.3j],
                         [c + 1.0, c + 2.0, c + 1.5]]).astype(complex)
     got = summands.binom(c, x).eval(w)
@@ -367,7 +378,6 @@ def test_bd_term_guard_rejects_nu_zero(y):
 @pytest.mark.parametrize("x", [0.25, 1.7, 0.3 + 0.4j, -0.2 + 1.1j])
 def test_bd_term_matches_mpmath_on_the_orbit(x):
     # x / nu is small along the orbit, where log(1 + x/nu) loses its digits
-    mpmath = pytest.importorskip("mpmath")
     pts = np.concatenate([2.0 ** np.arange(23) + 0.37, 2.0 ** np.arange(22) * 1.5 - 0.25])
     got = summands.bd_term(x).eval(pts.astype(complex))
     with mpmath.workdps(30):
